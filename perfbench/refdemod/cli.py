@@ -1,0 +1,287 @@
+"""Command line front end.
+
+Every verb prints a short deterministic report whose last line is a
+single ``#verdict: <word>`` line.  Exit status: 0 for a positive
+verdict, 1 for a definite negative, 2 for errors and for searches that
+hit a bound without an answer.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+from .errors import DemodError, FuelExhausted, ParseError
+from .kernel import (
+    check_proof, find_cuts, normalize_proof,
+)
+from .parsing import (
+    parse_node, parse_proof, parse_prop, parse_sequent, parse_theory,
+    print_proof,
+)
+from .prover import consistency_probe, search_proof
+from .rewriting import DEFAULT_FUEL, congruent_detail, normalize
+from .syntax import print_node, wellformed
+from .theories import (
+    BUILTIN_NAMES, Theory, load_builtin, subformula_closure, validate_theory,
+)
+
+EXIT_YES, EXIT_NO, EXIT_ERROR = 0, 1, 2
+
+
+def _load_theory(spec: str) -> Theory:
+    if spec.startswith("builtin:"):
+        return load_builtin(spec[len("builtin:"):])
+    with open(spec) as f:
+        text = f.read()
+    t = parse_theory(text, name=spec)
+    validate_theory(t)
+    return t
+
+
+def _read(path: str) -> str:
+    if path == "-":
+        return sys.stdin.read()
+    with open(path) as f:
+        return f.read()
+
+
+def _verdict(word: str, lines=()) -> int:
+    for line in lines:
+        print(line)
+    print(f"#verdict: {word}")
+    return {"yes": EXIT_YES, "proved": EXIT_YES, "ok": EXIT_YES,
+            "consistent-at-bound": EXIT_YES,
+            "no": EXIT_NO, "fail": EXIT_NO, "invalid": EXIT_NO,
+            "inconsistent": EXIT_NO,
+            "bound-exceeded": EXIT_ERROR,
+            "fuel-exhausted": EXIT_ERROR}[word]
+
+
+def _cmd_check(args) -> int:
+    theory = _load_theory(args.theory)
+    proof = parse_proof(_read(args.proof), theory.signature)
+    sequent = parse_sequent(_read(args.goal), theory.signature)
+    result = check_proof(theory, proof, sequent, fuel=args.fuel)
+    lines = []
+    if not result.ok:
+        lines.append(f"at {list(result.path)}: {result.message}")
+        return _verdict("invalid", lines)
+    return _verdict("ok", lines)
+
+
+def _cmd_normalize(args) -> int:
+    theory = _load_theory(args.theory)
+    x = parse_node(args.expr, theory.signature)
+    try:
+        nf = normalize(theory.system, x, fuel=args.fuel)
+    except FuelExhausted as e:
+        return _verdict("fuel-exhausted", [str(e)])
+    return _verdict("ok", [print_node(nf.value), f"steps: {nf.steps}"])
+
+
+def _cmd_congruent(args) -> int:
+    theory = _load_theory(args.theory)
+    a = parse_node(args.left, theory.signature)
+    b = parse_node(args.right, theory.signature)
+    try:
+        same, how = congruent_detail(theory.system, a, b, fuel=args.fuel)
+    except FuelExhausted as e:
+        return _verdict("fuel-exhausted", [str(e)])
+    return _verdict("yes" if same else "no", [f"method: {how}"])
+
+
+def _cmd_unify(args) -> int:
+    from .unification import UnificationProblem, narrow_unify
+    theory = _load_theory(args.theory)
+    a = parse_node(args.left, theory.signature)
+    b = parse_node(args.right, theory.signature)
+    problem = UnificationProblem.of([(a, b)], theory.system)
+    if problem is None:
+        return _verdict("no", ["the two sides can never unify"])
+    stream = narrow_unify(problem, depth=args.depth, cap=args.cap,
+                          fuel=args.fuel)
+    lines = []
+    for i, sol in enumerate(stream.solutions):
+        binds = ", ".join(f"{v.name} -> {print_node(t)}"
+                          for v, t in sorted(sol.items(),
+                                             key=lambda it: it[0].name))
+        lines.append(f"solution {i}: {{{binds}}}")
+    lines.append(f"complete: {'yes' if stream.complete else 'no'}")
+    if stream.solutions:
+        return _verdict("yes", lines)
+    return _verdict("no" if stream.complete else "bound-exceeded", lines)
+
+
+def _cmd_prove(args) -> int:
+    theory = _load_theory(args.theory)
+    goal = parse_prop(args.goal, theory.signature)
+    outcome = search_proof(theory, goal, depth=args.depth, fuel=args.fuel,
+                           narrow_depth=args.depth, narrow_cap=args.cap)
+    lines = [f"nodes: {outcome.stats.nodes}"]
+    if outcome.proved:
+        lines.insert(0, print_proof(outcome.proof))
+        return _verdict("proved", lines)
+    return _verdict("fail" if outcome.status == "fail" else "bound-exceeded",
+                    lines)
+
+
+def _cmd_cuts(args) -> int:
+    theory = _load_theory(args.theory)
+    proof = parse_proof(_read(args.proof), theory.signature)
+    sequent = parse_sequent(_read(args.goal), theory.signature)
+    result = check_proof(theory, proof, sequent, fuel=args.fuel)
+    if not result.ok:
+        return _verdict("invalid", [f"at {list(result.path)}: {result.message}"])
+    report = find_cuts(theory, result.proof, fuel=args.fuel)
+    lines = [f"cut at {list(path)}: {intro}/{elim}"
+             for path, intro, elim in report.cuts]
+    lines.append(f"cuts: {len(report.cuts)}")
+    return _verdict("yes" if report.cuts else "no", lines)
+
+
+def _cmd_eliminate(args) -> int:
+    theory = _load_theory(args.theory)
+    proof = parse_proof(_read(args.proof), theory.signature)
+    sequent = parse_sequent(_read(args.goal), theory.signature)
+    result = check_proof(theory, proof, sequent, fuel=args.fuel)
+    if not result.ok:
+        return _verdict("invalid", [f"at {list(result.path)}: {result.message}"])
+    try:
+        normalized = normalize_proof(theory, result.proof, fuel=args.depth * 125,
+                                     goal=sequent, congruence_fuel=args.fuel)
+    except FuelExhausted as e:
+        return _verdict("fuel-exhausted",
+                        [f"no normal form within the bound ({e.steps} steps)"])
+    lines = [print_proof(normalized.proof), f"steps: {normalized.steps}"]
+    return _verdict("ok", lines)
+
+
+def _cmd_validate(args) -> int:
+    theory = _load_theory(args.theory)
+    report = theory.report or validate_theory(theory, fuel=args.fuel)
+    ok = (report.lhs_shapes_ok and report.nonconfusing
+          and report.locally_confluent is not False)
+    return _verdict("ok" if ok else "invalid", report.lines())
+
+
+def _cmd_subformulae(args) -> int:
+    theory = _load_theory(args.theory)
+    a = parse_prop(args.prop, theory.signature)
+    s = subformula_closure(theory, a, fuel=args.fuel)
+    lines = [print_node(r) for r in s.representatives]
+    lines.append(f"status: {s.status}")
+    lines.append(f"classes: {len(s.representatives)}")
+    return _verdict("ok", lines)
+
+
+def _cmd_probe(args) -> int:
+    theory = _load_theory(args.theory)
+    hyps = tuple(parse_prop(h, theory.signature) for h in args.hyp)
+    outcome = consistency_probe(theory, depth=args.depth, hypotheses=hyps,
+                                fuel=args.fuel, narrow_depth=args.depth,
+                                narrow_cap=args.cap)
+    lines = [f"nodes: {outcome.stats.nodes}"]
+    if outcome.proved:
+        lines.insert(0, print_proof(outcome.proof))
+        return _verdict("inconsistent", lines)
+    if outcome.status == "fail":
+        lines.append(f"no derivation of falsity exists at depth {args.depth}")
+        return _verdict("consistent-at-bound", lines)
+    return _verdict("bound-exceeded", lines)
+
+
+def _add_common(sp, theory_positional: bool = True):
+    sp.add_argument("theory",
+                    help="theory file path, or builtin:<name> with name in "
+                         + ", ".join(BUILTIN_NAMES))
+    sp.add_argument("--depth", type=int, default=8,
+                    help="search depth bound (default 8)")
+    sp.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
+                    help=f"rewrite step budget (default {DEFAULT_FUEL})")
+    sp.add_argument("--cap", type=int, default=16,
+                    help="maximum solutions to enumerate (default 16)")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="demod",
+        description="a workbench for natural deduction modulo rewriting")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    sp = sub.add_parser("check", help="check a proof against a sequent")
+    _add_common(sp)
+    sp.add_argument("proof", help="proof file ('-' for stdin)")
+    sp.add_argument("goal", help="sequent file ('-' for stdin)")
+    sp.set_defaults(fn=_cmd_check)
+
+    sp = sub.add_parser("normalize", help="rewrite to normal form")
+    _add_common(sp)
+    sp.add_argument("expr", help="term or proposition")
+    sp.set_defaults(fn=_cmd_normalize)
+
+    sp = sub.add_parser("congruent", help="decide the congruence")
+    _add_common(sp)
+    sp.add_argument("left")
+    sp.add_argument("right")
+    sp.set_defaults(fn=_cmd_congruent)
+
+    sp = sub.add_parser("unify", help="unify modulo the rules (narrowing)")
+    _add_common(sp)
+    sp.add_argument("left")
+    sp.add_argument("right")
+    sp.set_defaults(fn=_cmd_unify)
+
+    sp = sub.add_parser("prove", help="search for a proof of a proposition")
+    _add_common(sp)
+    sp.add_argument("goal", help="proposition to prove")
+    sp.set_defaults(fn=_cmd_prove)
+
+    sp = sub.add_parser("cuts", help="list the cuts of a checked proof")
+    _add_common(sp)
+    sp.add_argument("proof")
+    sp.add_argument("goal")
+    sp.set_defaults(fn=_cmd_cuts)
+
+    sp = sub.add_parser("eliminate", help="normalize a proof (cut elimination)")
+    _add_common(sp)
+    sp.add_argument("proof")
+    sp.add_argument("goal")
+    sp.set_defaults(fn=_cmd_eliminate)
+
+    sp = sub.add_parser("validate", help="report on a theory's rules")
+    _add_common(sp)
+    sp.set_defaults(fn=_cmd_validate)
+
+    sp = sub.add_parser("subformulae",
+                        help="congruence-closed sub-formula classes")
+    _add_common(sp)
+    sp.add_argument("prop")
+    sp.set_defaults(fn=_cmd_subformulae)
+
+    sp = sub.add_parser("probe",
+                        help="bounded search for a proof of falsity")
+    _add_common(sp)
+    sp.add_argument("--hyp", action="append", default=[],
+                    help="extra hypothesis (repeatable)")
+    sp.set_defaults(fn=_cmd_probe)
+
+    return ap
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except ParseError as e:
+        print(f"parse error: {e}", file=sys.stderr)
+        print("#verdict: error")
+        return EXIT_ERROR
+    except (DemodError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        print("#verdict: error")
+        return EXIT_ERROR
+
+
+if __name__ == "__main__":
+    sys.exit(main())

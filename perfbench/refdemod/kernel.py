@@ -1,0 +1,745 @@
+"""Constructive natural deduction modulo: proof checking up to the
+congruence, cut detection, single-step cut reduction, bounded proof
+normalization, and the translation of biconditional axioms into
+proposition rewrite rules.
+
+Checking is bidirectional: introduction rules are checked against an
+expected conclusion whose head connective is exposed by root rewriting,
+eliminations synthesize their conclusion from the major premise.  A node
+whose conclusion cannot be synthesized in its position (an introduction
+used as a major premise, or_e, exists_e, bot_e) carries a stated
+conclusion annotation.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field, replace as dc_replace
+from typing import Optional
+
+from .errors import FuelExhausted, ProofError, RuleError
+from .rewriting import (
+    DEFAULT_FUEL, RewriteRule, RewriteSystem, _step_at, check_nonconfusing,
+    congruent, normalize,
+)
+from .syntax import (
+    And, Atom, BOT, Exists, ForAll, Imp, Or, Position, Proposition, Subst,
+    Term, Top, Var, alpha_eq, alpha_key, apply_subst, children as node_children,
+    free_vars, fresh_var, is_term, print_prop, wellformed,
+)
+
+INTRO_TAGS = frozenset({
+    "top_i", "and_i", "or_i1", "or_i2", "imp_i", "forall_i", "exists_i"})
+ELIM_TAGS = frozenset({
+    "bot_e", "and_e1", "and_e2", "or_e", "imp_e", "forall_e", "exists_e"})
+ALL_TAGS = INTRO_TAGS | ELIM_TAGS | {"axiom"}
+
+# elimination tag -> introduction tags forming a cut on its major premise
+CUT_PAIRS = {
+    "and_e1": frozenset({"and_i"}),
+    "and_e2": frozenset({"and_i"}),
+    "imp_e": frozenset({"imp_i"}),
+    "or_e": frozenset({"or_i1", "or_i2"}),
+    "forall_e": frozenset({"forall_i"}),
+    "exists_e": frozenset({"exists_i"}),
+    "bot_e": frozenset(),
+}
+
+
+@dataclass(frozen=True)
+class Proof:
+    """A rule-tagged derivation node.
+
+    label / label2 name hypotheses (axiom, imp_i, or_e, exists_e),
+    witness is the instantiation term (forall_e, exists_i), eigen the
+    eigenvariable (forall_i, exists_e).  conclusion is the stated (or
+    elaborated) conclusion; it may be None where it is derivable.
+    """
+
+    tag: str
+    children: tuple["Proof", ...] = ()
+    label: Optional[str] = None
+    label2: Optional[str] = None
+    witness: Optional[Term] = None
+    eigen: Optional[Var] = None
+    conclusion: Optional[Proposition] = None
+
+    def __post_init__(self):
+        if self.tag not in ALL_TAGS:
+            raise ProofError(f"unknown rule tag {self.tag!r}")
+        want = _CHILD_COUNT[self.tag]
+        if len(self.children) != want:
+            raise ProofError(
+                f"{self.tag} expects {want} subproofs, got {len(self.children)}")
+
+    def with_conclusion(self, c: Proposition) -> "Proof":
+        return dc_replace(self, conclusion=c)
+
+
+_CHILD_COUNT = {
+    "axiom": 0, "top_i": 0, "bot_e": 1,
+    "and_i": 2, "and_e1": 1, "and_e2": 1,
+    "or_i1": 1, "or_i2": 1, "or_e": 3,
+    "imp_i": 1, "imp_e": 2,
+    "forall_i": 1, "forall_e": 1,
+    "exists_i": 1, "exists_e": 2,
+}
+
+
+@dataclass(frozen=True)
+class Sequent:
+    context: tuple[tuple[str, Proposition], ...]
+    conclusion: Proposition
+
+    def __post_init__(self):
+        labels = [l for l, _ in self.context]
+        if len(labels) != len(set(labels)):
+            raise ProofError("hypothesis labels must be unique")
+
+
+@dataclass(frozen=True)
+class CutReport:
+    cuts: tuple[tuple[Position, str, str], ...]  # (path, intro tag, elim tag)
+
+    def __bool__(self):
+        return bool(self.cuts)
+
+    def __len__(self):
+        return len(self.cuts)
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    ok: bool
+    proof: Optional[Proof] = None   # fully annotated on success
+    path: Position = ()
+    message: str = ""
+
+
+class _CheckFailure(Exception):
+    def __init__(self, path, message):
+        super().__init__(message)
+        self.path = path
+        self.message = message
+
+
+class _Session:
+    """Per-check congruence cache keyed on canonical printed forms."""
+
+    def __init__(self, rs: RewriteSystem, fuel: int):
+        self.rs = rs
+        self.fuel = fuel
+        self._memo: dict[tuple[str, str], bool] = {}
+
+    def congruent(self, a: Proposition, b: Proposition) -> bool:
+        ka, kb = alpha_key(a), alpha_key(b)
+        if ka == kb:
+            return True
+        key = (ka, kb) if ka < kb else (kb, ka)
+        if key not in self._memo:
+            self._memo[key] = congruent(self.rs, a, b, self.fuel)
+        return self._memo[key]
+
+    def expose(self, p: Proposition) -> Proposition:
+        """Rewrite at the root until the head connective is visible.
+
+        Atom arguments are normalized first when the system is known
+        convergent, so rules like P(0) fire on P(0 + 0)."""
+        steps = 0
+        while isinstance(p, Atom):
+            if self.rs.convergent:
+                p = normalize(self.rs, p, self.fuel).value
+                if not isinstance(p, Atom):
+                    return p
+            hit = _step_at(self.rs, p)
+            if hit is None:
+                return p
+            p = hit[1]
+            steps += 1
+            if steps > self.fuel:
+                raise FuelExhausted("head exposure exhausted its budget")
+        return p
+
+
+# ---------------------------------------------------------------------------
+# Proof checking
+
+
+def check_proof(theory, proof: Proof, goal: Sequent,
+                fuel: int = DEFAULT_FUEL) -> CheckResult:
+    """Check a proof of a sequent, all side conditions modulo the
+    congruence.  On success the returned proof has every conclusion
+    filled in.  Raises FuelExhausted if the congruence engine runs dry.
+    """
+    if proof is None:
+        raise ProofError("no proof given")
+    rs = theory.system
+    if not check_nonconfusing(rs):
+        raise RuleError("theory's rewrite system is not non-confusing")
+    sig = theory.signature
+    for _, h in goal.context:
+        r = wellformed(sig, h)
+        if not r:
+            raise ProofError(f"ill-formed hypothesis: {r.message}")
+    r = wellformed(sig, goal.conclusion)
+    if not r:
+        raise ProofError(f"ill-formed goal: {r.message}")
+    session = _Session(rs, fuel)
+    ctx = dict(goal.context)
+    try:
+        annotated = _check(session, ctx, proof, goal.conclusion, ())
+        return CheckResult(True, annotated)
+    except _CheckFailure as e:
+        return CheckResult(False, None, e.path, e.message)
+
+
+def _fail(path, message):
+    raise _CheckFailure(path, message)
+
+
+def _check(ss: _Session, ctx: dict, p: Proof, goal: Proposition,
+           path: Position) -> Proof:
+    tag = p.tag
+    if tag == "axiom" or tag in ("and_e1", "and_e2", "imp_e", "forall_e"):
+        p2, c = _infer(ss, ctx, p, path)
+        if not ss.congruent(c, goal):
+            _fail(path, f"concluded {print_prop(c)}, which is not congruent "
+                        f"to {print_prop(goal)}")
+        return p2.with_conclusion(goal)
+
+    if tag == "bot_e":
+        child = _check(ss, ctx, p.children[0], BOT, path + (0,))
+        return dc_replace(p, children=(child,), conclusion=goal)
+
+    if tag == "or_e":
+        major, c = _infer(ss, ctx, p.children[0], path + (0,))
+        g = ss.expose(c)
+        if not isinstance(g, Or):
+            _fail(path, f"or_e major premise proves {print_prop(c)}, "
+                        "not a disjunction")
+        if p.label is None or p.label2 is None:
+            _fail(path, "or_e needs two hypothesis labels")
+        b1 = _check(ss, _bind(ctx, p.label, g.left), p.children[1],
+                    goal, path + (1,))
+        b2 = _check(ss, _bind(ctx, p.label2, g.right), p.children[2],
+                    goal, path + (2,))
+        return dc_replace(p, children=(major, b1, b2), conclusion=goal)
+
+    if tag == "exists_e":
+        major, c = _infer(ss, ctx, p.children[0], path + (0,))
+        g = ss.expose(c)
+        if not isinstance(g, Exists):
+            _fail(path, f"exists_e major premise proves {print_prop(c)}, "
+                        "not an existential")
+        y = p.eigen if p.eigen is not None else g.var
+        if y.sort != g.var.sort:
+            _fail(path, f"eigenvariable sort {y.sort} does not match "
+                        f"{g.var.sort}")
+        _eigen_fresh(ctx, (goal, c), y, path)
+        if p.label is None:
+            _fail(path, "exists_e needs a hypothesis label")
+        inst = apply_subst({g.var: y}, g.body)
+        body = _check(ss, _bind(ctx, p.label, inst), p.children[1],
+                      goal, path + (1,))
+        return dc_replace(p, children=(major, body), eigen=y, conclusion=goal)
+
+    # introduction rules: decompose the exposed goal
+    g = ss.expose(goal)
+    if tag == "top_i":
+        if not isinstance(g, Top):
+            _fail(path, f"top_i cannot prove {print_prop(goal)}")
+        return p.with_conclusion(goal)
+    if tag == "and_i":
+        if not isinstance(g, And):
+            _fail(path, f"and_i cannot prove {print_prop(goal)}")
+        l = _check(ss, ctx, p.children[0], g.left, path + (0,))
+        r = _check(ss, ctx, p.children[1], g.right, path + (1,))
+        return dc_replace(p, children=(l, r), conclusion=goal)
+    if tag in ("or_i1", "or_i2"):
+        if not isinstance(g, Or):
+            _fail(path, f"{tag} cannot prove {print_prop(goal)}")
+        side = g.left if tag == "or_i1" else g.right
+        c = _check(ss, ctx, p.children[0], side, path + (0,))
+        return dc_replace(p, children=(c,), conclusion=goal)
+    if tag == "imp_i":
+        if not isinstance(g, Imp):
+            _fail(path, f"imp_i cannot prove {print_prop(goal)}")
+        if p.label is None:
+            _fail(path, "imp_i needs a hypothesis label")
+        c = _check(ss, _bind(ctx, p.label, g.left), p.children[0],
+                   g.right, path + (0,))
+        return dc_replace(p, children=(c,), conclusion=goal)
+    if tag == "forall_i":
+        if not isinstance(g, ForAll):
+            _fail(path, f"forall_i cannot prove {print_prop(goal)}")
+        y = p.eigen if p.eigen is not None else g.var
+        if y.sort != g.var.sort:
+            _fail(path, f"eigenvariable sort {y.sort} does not match "
+                        f"{g.var.sort}")
+        _eigen_fresh(ctx, (goal,), y, path)
+        c = _check(ss, ctx, p.children[0],
+                   apply_subst({g.var: y}, g.body), path + (0,))
+        return dc_replace(p, children=(c,), eigen=y, conclusion=goal)
+    if tag == "exists_i":
+        if not isinstance(g, Exists):
+            _fail(path, f"exists_i cannot prove {print_prop(goal)}")
+        if p.witness is None:
+            _fail(path, "exists_i needs a witness term")
+        c = _check(ss, ctx, p.children[0],
+                   apply_subst({g.var: p.witness}, g.body), path + (0,))
+        return dc_replace(p, children=(c,), conclusion=goal)
+    _fail(path, f"rule {tag} cannot occur here")
+
+
+def _infer(ss: _Session, ctx: dict, p: Proof,
+           path: Position) -> tuple[Proof, Proposition]:
+    tag = p.tag
+    if tag == "axiom":
+        if p.label not in ctx:
+            _fail(path, f"no hypothesis labelled {p.label!r}")
+        c = ctx[p.label]
+        return p.with_conclusion(c), c
+    if tag == "and_e1" or tag == "and_e2":
+        major, c = _infer(ss, ctx, p.children[0], path + (0,))
+        g = ss.expose(c)
+        if not isinstance(g, And):
+            _fail(path, f"{tag} major premise proves {print_prop(c)}, "
+                        "not a conjunction")
+        out = g.left if tag == "and_e1" else g.right
+        return dc_replace(p, children=(major,), conclusion=out), out
+    if tag == "imp_e":
+        major, c = _infer(ss, ctx, p.children[0], path + (0,))
+        g = ss.expose(c)
+        if not isinstance(g, Imp):
+            _fail(path, f"imp_e major premise proves {print_prop(c)}, "
+                        "not an implication")
+        minor = _check(ss, ctx, p.children[1], g.left, path + (1,))
+        return dc_replace(p, children=(major, minor),
+                          conclusion=g.right), g.right
+    if tag == "forall_e":
+        major, c = _infer(ss, ctx, p.children[0], path + (0,))
+        g = ss.expose(c)
+        if not isinstance(g, ForAll):
+            _fail(path, f"forall_e major premise proves {print_prop(c)}, "
+                        "not a universal")
+        if p.witness is None:
+            _fail(path, "forall_e needs a witness term")
+        out = apply_subst({g.var: p.witness}, g.body)
+        return dc_replace(p, children=(major,), conclusion=out), out
+    # introductions, or_e, exists_e, bot_e: only with a stated conclusion
+    if p.conclusion is not None:
+        p2 = _check(ss, ctx, p, p.conclusion, path)
+        return p2, p.conclusion
+    _fail(path, f"{tag} in a synthesizing position needs a "
+                "conclusion annotation")
+
+
+def _bind(ctx: dict, label: str, prop: Proposition) -> dict:
+    out = dict(ctx)
+    out[label] = prop  # inner binders shadow outer ones
+    return out
+
+
+def _eigen_fresh(ctx: dict, extra, y: Var, path: Position) -> None:
+    for h in list(ctx.values()) + list(extra):
+        if y in free_vars(h):
+            _fail(path, f"eigenvariable {y.name} occurs free in the sequent")
+
+
+# ---------------------------------------------------------------------------
+# Cut detection
+
+
+def find_cuts(theory, proof: Proof, fuel: int = DEFAULT_FUEL) -> CutReport:
+    """Every elimination whose major premise is the matching introduction.
+
+    Purely structural on a checked proof: the side conditions relating
+    the cut formulas were already verified modulo the congruence."""
+    cuts: list[tuple[Position, str, str]] = []
+
+    def walk(p: Proof, path: Position):
+        if p.tag in CUT_PAIRS and p.children:
+            major = p.children[0]
+            if major.tag in CUT_PAIRS[p.tag]:
+                cuts.append((path, major.tag, p.tag))
+        for i, c in enumerate(p.children):
+            walk(c, path + (i,))
+
+    walk(proof, ())
+    return CutReport(tuple(cuts))
+
+
+def ends_with_intro(proof: Proof) -> bool:
+    """True iff the root is an introduction rule."""
+    return proof.tag in INTRO_TAGS
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis-label machinery
+
+
+def _binders(p: Proof) -> tuple[str, ...]:
+    """Labels this node binds, per child index position."""
+    if p.tag == "imp_i":
+        return (p.label,)
+    if p.tag == "or_e":
+        return (p.label, p.label2)
+    if p.tag == "exists_e":
+        return (p.label,)
+    return ()
+
+
+def free_labels(p: Proof) -> frozenset[str]:
+    out: set[str] = set()
+
+    def walk(q: Proof, bound: frozenset):
+        if q.tag == "axiom":
+            if q.label not in bound:
+                out.add(q.label)
+            return
+        for i, c in enumerate(q.children):
+            walk(c, bound | _child_bound(q, i))
+
+    walk(p, frozenset())
+    return frozenset(out)
+
+
+def _child_bound(q: Proof, i: int) -> frozenset:
+    if q.tag == "imp_i" and i == 0:
+        return frozenset({q.label})
+    if q.tag == "or_e":
+        if i == 1:
+            return frozenset({q.label})
+        if i == 2:
+            return frozenset({q.label2})
+    if q.tag == "exists_e" and i == 1:
+        return frozenset({q.label})
+    return frozenset()
+
+
+def _fresh_label(base: str, avoid: set) -> str:
+    k = 1
+    while f"{base}_{k}" in avoid:
+        k += 1
+    return f"{base}_{k}"
+
+
+def subst_hyp(p: Proof, label: str, repl: Proof) -> Proof:
+    """Replace every use of hypothesis `label` by the derivation `repl`,
+    stopping at shadowing binders and renaming binders that would
+    capture a hypothesis free in `repl`."""
+    repl_free = free_labels(repl)
+
+    def walk(q: Proof) -> Proof:
+        if q.tag == "axiom":
+            return repl if q.label == label else q
+        binds = {b for b in _binders(q) if b}
+        clash = binds & repl_free
+        if clash:
+            q = _rename_binders(q, clash)
+        kids = []
+        for i, c in enumerate(q.children):
+            if label in _child_bound(q, i):
+                kids.append(c)  # shadowed: leave untouched
+            else:
+                kids.append(walk(c))
+        return dc_replace(q, children=tuple(kids))
+
+    return walk(p)
+
+
+def _rename_binders(q: Proof, clash: set) -> Proof:
+    avoid = set(free_labels(q)) | {b for b in _binders(q) if b}
+    new = dict(q.__dict__)
+    kids = list(q.children)
+    for attr in ("label", "label2"):
+        b = getattr(q, attr)
+        if b in clash:
+            b2 = _fresh_label(b, avoid)
+            avoid.add(b2)
+            new[attr] = b2
+            for i in range(len(kids)):
+                if b in _child_bound(q, i):
+                    kids[i] = subst_hyp(kids[i], b, Proof("axiom", label=b2))
+    new["children"] = tuple(kids)
+    return Proof(**new)
+
+
+def _proof_var_names(p: Proof) -> set[str]:
+    out: set[str] = set()
+    if p.eigen is not None:
+        out.add(p.eigen.name)
+    for x in (p.witness, p.conclusion):
+        if x is not None:
+            out |= {v.name for v in free_vars(x)}
+    for c in p.children:
+        out |= _proof_var_names(c)
+    return out
+
+
+def subst_terms_in_proof(s: Subst, p: Proof) -> Proof:
+    """Apply a term substitution to every formula annotation, witness
+    and eigenvariable scope in a proof."""
+    if not s:
+        return p
+    if p.eigen is not None:
+        s = {v: t for v, t in s.items() if v != p.eigen}
+        if not s:
+            return p
+        inserted: set[str] = set()
+        for t in s.values():
+            inserted |= {w.name for w in free_vars(t)}
+        if p.eigen.name in inserted:
+            avoid = inserted | _proof_var_names(p)
+            y2 = fresh_var(p.eigen, avoid)
+            old = p.eigen
+            p = dc_replace(
+                p, eigen=y2,
+                children=tuple(subst_terms_in_proof({old: y2}, c)
+                               for c in p.children))
+    return dc_replace(
+        p,
+        children=tuple(subst_terms_in_proof(s, c) for c in p.children),
+        witness=apply_subst(s, p.witness) if p.witness is not None else None,
+        conclusion=(apply_subst(s, p.conclusion)
+                    if p.conclusion is not None else None),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Cut reduction
+
+
+def _subproof_at(p: Proof, pos: Position) -> Proof:
+    for i in pos:
+        p = p.children[i]
+    return p
+
+
+def _replace_subproof(p: Proof, pos: Position, new: Proof) -> Proof:
+    if not pos:
+        return new
+    kids = list(p.children)
+    kids[pos[0]] = _replace_subproof(kids[pos[0]], pos[1:], new)
+    return dc_replace(p, children=tuple(kids))
+
+
+def reduce_cut(theory, proof: Proof, position: Position,
+               fuel: int = DEFAULT_FUEL) -> Proof:
+    """Perform the standard proof reduction at a cut position.
+
+    The result proves a conclusion congruent to the original one; it may
+    of course still contain cuts."""
+    node = _subproof_at(proof, position)
+    if node.tag not in CUT_PAIRS or not node.children:
+        raise ProofError(f"position {position} is not a cut")
+    major = node.children[0]
+    if major.tag not in CUT_PAIRS[node.tag]:
+        raise ProofError(f"position {position} is not a cut")
+    ss = _Session(theory.system, fuel)
+
+    if node.tag == "imp_e":
+        body = major.children[0]
+        minor = node.children[1]
+        if minor.conclusion is None and major.conclusion is not None:
+            g = ss.expose(major.conclusion)
+            if isinstance(g, Imp):
+                minor = minor.with_conclusion(g.left)
+        reduct = subst_hyp(body, major.label, minor)
+    elif node.tag in ("and_e1", "and_e2"):
+        reduct = major.children[0 if node.tag == "and_e1" else 1]
+    elif node.tag == "or_e":
+        arm = major.children[0]
+        if arm.conclusion is None and major.conclusion is not None:
+            g = ss.expose(major.conclusion)
+            if isinstance(g, Or):
+                arm = arm.with_conclusion(
+                    g.left if major.tag == "or_i1" else g.right)
+        branch, label = ((node.children[1], node.label)
+                         if major.tag == "or_i1"
+                         else (node.children[2], node.label2))
+        reduct = subst_hyp(branch, label, arm)
+    elif node.tag == "forall_e":
+        y = major.eigen
+        if y is None and major.conclusion is not None:
+            g = ss.expose(major.conclusion)
+            if isinstance(g, ForAll):
+                y = g.var
+        if y is None:
+            raise ProofError("forall_i node lacks an eigenvariable")
+        reduct = subst_terms_in_proof({y: node.witness}, major.children[0])
+    elif node.tag == "exists_e":
+        wit = major.witness
+        inner = major.children[0]
+        body = subst_terms_in_proof({node.eigen: wit}, node.children[1]) \
+            if node.eigen is not None else node.children[1]
+        if inner.conclusion is None and major.conclusion is not None:
+            g = ss.expose(major.conclusion)
+            if isinstance(g, Exists):
+                inner = inner.with_conclusion(
+                    apply_subst({g.var: wit}, g.body))
+        reduct = subst_hyp(body, node.label, inner)
+    else:
+        raise ProofError(f"no reduction for {node.tag}")
+
+    if reduct.conclusion is None and node.conclusion is not None:
+        reduct = reduct.with_conclusion(node.conclusion)
+    return _replace_subproof(proof, position, reduct)
+
+
+@dataclass(frozen=True)
+class NormalizedProof:
+    proof: Proof
+    steps: int
+
+
+def _post_order_first(cuts) -> Position:
+    """Leftmost-innermost cut: first in post-order traversal order.
+
+    p comes before q iff p is to the left of q or a strict descendant
+    of q."""
+    def before(p, q):
+        if p[:len(q)] == q and len(p) > len(q):
+            return True   # descendant of q
+        if q[:len(p)] == p and len(q) > len(p):
+            return False  # ancestor of q
+        return p < q
+
+    best = cuts[0][0]
+    for path, _, _ in cuts[1:]:
+        if before(path, best):
+            best = path
+    return best
+
+
+def normalize_proof(theory, proof: Proof, fuel: int = 1000,
+                    goal: Optional[Sequent] = None,
+                    congruence_fuel: int = DEFAULT_FUEL) -> NormalizedProof:
+    """Repeatedly reduce the leftmost-innermost cut.
+
+    When a goal sequent is supplied, the proof is re-checked (and
+    re-annotated) after every step.  Raises FuelExhausted when the step
+    budget runs out -- the expected outcome on Crabbe-style theories."""
+    steps = 0
+    while True:
+        if goal is not None:
+            res = check_proof(theory, proof, goal, congruence_fuel)
+            if not res.ok:
+                raise ProofError(
+                    f"proof no longer checks at {res.path}: {res.message}")
+            proof = res.proof
+        cuts = find_cuts(theory, proof).cuts
+        if not cuts:
+            return NormalizedProof(proof, steps)
+        if steps >= fuel:
+            raise FuelExhausted(
+                f"proof still has cuts after {steps} reductions", steps=steps)
+        proof = reduce_cut(theory, proof, _post_order_first(cuts),
+                           congruence_fuel)
+        steps += 1
+
+
+# ---------------------------------------------------------------------------
+# Commuting conversions (optional pass, not counted as cuts)
+
+
+_PERMUTABLE = frozenset({"and_e1", "and_e2", "imp_e", "forall_e", "bot_e"})
+
+
+def commute_conversions(proof: Proof, fuel: int = 1000) -> Proof:
+    """Push eliminations through or_e / exists_e major premises.
+
+    A separate optional pass; these permutations are not cuts and are
+    never required by the checker."""
+    for _ in range(fuel):
+        new = _commute_once(proof)
+        if new is None:
+            return proof
+        proof = new
+    raise FuelExhausted("commuting conversions did not converge")
+
+
+def _commute_once(p: Proof) -> Optional[Proof]:
+    major = p.children[0] if p.children else None
+    if p.tag in _PERMUTABLE and major is not None \
+            and major.tag in ("or_e", "exists_e"):
+        if major.tag == "or_e":
+            b1 = dc_replace(p, children=(major.children[1],) + p.children[1:],
+                            conclusion=p.conclusion)
+            b2 = dc_replace(p, children=(major.children[2],) + p.children[1:],
+                            conclusion=p.conclusion)
+            return dc_replace(major, children=(major.children[0], b1, b2),
+                              conclusion=p.conclusion)
+        body = dc_replace(p, children=(major.children[1],) + p.children[1:],
+                          conclusion=p.conclusion)
+        return dc_replace(major, children=(major.children[0], body),
+                          conclusion=p.conclusion)
+    for i, c in enumerate(p.children):
+        new = _commute_once(c)
+        if new is not None:
+            kids = list(p.children)
+            kids[i] = new
+            return dc_replace(p, children=tuple(kids))
+    return None
+
+
+# ---------------------------------------------------------------------------
+# From biconditional axioms to proposition rules
+
+
+@dataclass(frozen=True)
+class DefinitionalRules:
+    rules: tuple[RewriteRule, ...]
+    hazards: tuple[str, ...]  # rule names whose head occurs in its own body
+
+
+def iff_axioms_to_rules(axioms) -> DefinitionalRules:
+    """Turn universally closed biconditionals  Atom <=> Body  into
+    proposition rules  Atom --> Body, oriented left to right.
+
+    The atom's arguments must be distinct variables covering the body's
+    free variables.  A head predicate occurring in its own body is
+    accepted but flagged (the Crabbe hazard)."""
+    rules: list[RewriteRule] = []
+    hazards: list[str] = []
+    names: set[str] = set()
+    for ax in axioms:
+        body = ax
+        while isinstance(body, ForAll):
+            body = body.body
+        if not (isinstance(body, And) and isinstance(body.left, Imp)
+                and isinstance(body.right, Imp)):
+            raise RuleError(f"not a biconditional: {print_prop(ax)}")
+        fwd, bwd = body.left, body.right
+        if not (alpha_eq(fwd.left, bwd.right) and alpha_eq(fwd.right, bwd.left)):
+            raise RuleError(f"not a biconditional: {print_prop(ax)}")
+        lhs, rhs = fwd.left, fwd.right
+        if not isinstance(lhs, Atom):
+            raise RuleError(f"definition head is not atomic: {print_prop(lhs)}")
+        args = lhs.args
+        if not all(isinstance(a, Var) for a in args) \
+                or len(set(args)) != len(args):
+            raise RuleError(
+                f"definition head arguments must be distinct variables: "
+                f"{print_prop(lhs)}")
+        escape = free_vars(rhs) - set(args)
+        if escape:
+            bad = ", ".join(sorted(v.name for v in escape))
+            raise RuleError(f"free variables escape the definition head: {bad}")
+        name = f"def_{lhs.pred}"
+        k = 1
+        while name in names:
+            k += 1
+            name = f"def_{lhs.pred}_{k}"
+        names.add(name)
+        rule = RewriteRule(name, lhs, rhs)
+        rules.append(rule)
+        if _pred_occurs(lhs.pred, rhs):
+            hazards.append(name)
+    return DefinitionalRules(tuple(rules), tuple(hazards))
+
+
+def _pred_occurs(pred: str, p: Proposition) -> bool:
+    if isinstance(p, Atom):
+        return p.pred == pred
+    return any(_pred_occurs(pred, c)
+               for c in node_children(p) if not is_term(c))

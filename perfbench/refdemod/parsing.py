@@ -1,0 +1,499 @@
+"""Parsers and printers for the concrete syntax.
+
+Formats (all line/column reported on error):
+
+  terms / propositions   fully parenthesized prefix form, e.g.
+                         (plus 0 y), (imp P Q), (forall (x : nat) (P x));
+                         bare variables may be annotated  x:nat
+  theory files           sort <id>. / func <id> : <sorts> -> <sort>. /
+                         pred <id> : <sorts>. / rule <id>: <lhs> ~> <rhs>. /
+                         assert terminating.
+  proofs                 (imp_i "h" (axiom "h")), optional trailing
+                         conclusion annotation  : <prop>
+  sequents               h : <prop>, g : <prop> |- <prop>
+
+Print-then-parse is the identity on every value these printers emit.
+"""
+
+from __future__ import annotations
+
+import re
+from typing import Optional
+
+from .errors import ParseError, RuleError, TheoryError
+from .kernel import Proof, Sequent
+from .rewriting import RewriteRule, RewriteSystem
+from .syntax import (
+    And, App, Atom, BOT, Exists, ForAll, Imp, Node, Or, Proposition,
+    Signature, TOP, Term, Var, make_signature, print_prop, print_term,
+    term_sort, wellformed,
+)
+from .theories import Theory
+
+_TOKEN = re.compile(r"""
+    (?P<ws>[ \t\r\n]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<lp>\()
+  | (?P<rp>\))
+  | (?P<rulearrow>~>)
+  | (?P<arrow>->)
+  | (?P<turnstile>\|-)
+  | (?P<colon>:)
+  | (?P<dot>\.)
+  | (?P<comma>,)
+  | (?P<str>"[^"\n]*")
+  | (?P<id>[A-Za-z0-9_'?+*=]+)
+""", re.VERBOSE)
+
+_CONNECTIVES = {"and": And, "or": Or, "imp": Imp}
+_QUANTS = {"forall": ForAll, "exists": Exists}
+
+
+class _Lexer:
+    def __init__(self, text: str):
+        self.tokens: list[tuple[str, str, int, int]] = []
+        line, col = 1, 1
+        i = 0
+        while i < len(text):
+            m = _TOKEN.match(text, i)
+            if not m:
+                raise ParseError(f"unexpected character {text[i]!r}", line, col)
+            kind = m.lastgroup
+            value = m.group()
+            if kind not in ("ws", "comment"):
+                self.tokens.append((kind, value, line, col))
+            nl = value.count("\n")
+            if nl:
+                line += nl
+                col = len(value) - value.rfind("\n")
+            else:
+                col += len(value)
+            i = m.end()
+        self.tokens.append(("eof", "", line, col))
+        self.pos = 0
+
+    def peek(self, ahead: int = 0):
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        if tok[0] != "eof":
+            self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str = ""):
+        tok = self.next()
+        if tok[0] != kind:
+            want = what or kind
+            raise ParseError(f"expected {want}, found {tok[1] or 'end of input'!r}",
+                             tok[2], tok[3])
+        return tok
+
+    def error(self, message: str):
+        tok = self.peek()
+        raise ParseError(message, tok[2], tok[3])
+
+    def at_end(self) -> bool:
+        return self.peek()[0] == "eof"
+
+
+class _Parser:
+    def __init__(self, text: str, sig: Signature):
+        self.lx = _Lexer(text)
+        self.sig = sig
+        self.var_sorts: dict[str, str] = {}
+
+    # -- terms -------------------------------------------------------------
+
+    def term(self, expected: Optional[str]) -> Term:
+        kind, value, line, col = self.lx.peek()
+        if kind == "lp":
+            self.lx.next()
+            _, fn, l2, c2 = self.lx.expect("id", "a function symbol")
+            if fn not in self.sig.functions:
+                raise ParseError(f"unknown function {fn!r}", l2, c2)
+            arg_sorts, result = self.sig.functions[fn]
+            args = tuple(self.term(s) for s in arg_sorts)
+            self.lx.expect("rp", "')'")
+            if expected is not None and result != expected:
+                raise ParseError(
+                    f"term of sort {result} where {expected} is needed",
+                    line, col)
+            return App(fn, args)
+        if kind != "id":
+            self.lx.error("expected a term")
+        self.lx.next()
+        if value in self.sig.functions and not self.sig.functions[value][0]:
+            result = self.sig.functions[value][1]
+            if expected is not None and result != expected:
+                raise ParseError(
+                    f"constant {value} has sort {result}, expected {expected}",
+                    line, col)
+            return App(value)
+        # a variable, possibly annotated
+        sort = None
+        if self.lx.peek()[0] == "colon":
+            self.lx.next()
+            sort = self.lx.expect("id", "a sort")[1]
+        known = self.var_sorts.get(value)
+        sort = sort or expected or known
+        if sort is None:
+            raise ParseError(
+                f"cannot infer the sort of variable {value!r} "
+                f"(annotate as {value}:<sort>)", line, col)
+        if expected is not None and sort != expected:
+            raise ParseError(
+                f"variable {value} of sort {sort} where {expected} is needed",
+                line, col)
+        if known is not None and known != sort:
+            raise ParseError(
+                f"variable {value} already used at sort {known}", line, col)
+        if sort not in self.sig.sorts:
+            raise ParseError(f"undeclared sort {sort!r}", line, col)
+        self.var_sorts[value] = sort
+        return Var(value, sort)
+
+    # -- propositions -------------------------------------------------------
+
+    def prop(self) -> Proposition:
+        kind, value, line, col = self.lx.peek()
+        if kind == "id":
+            self.lx.next()
+            if value == "top":
+                return TOP
+            if value == "bot":
+                return BOT
+            if value in self.sig.predicates:
+                if self.sig.predicates[value]:
+                    raise ParseError(
+                        f"predicate {value} takes arguments", line, col)
+                return Atom(value)
+            raise ParseError(f"unknown predicate {value!r}", line, col)
+        if kind != "lp":
+            self.lx.error("expected a proposition")
+        self.lx.next()
+        _, head, l2, c2 = self.lx.expect("id", "a connective or predicate")
+        if head in _CONNECTIVES:
+            a = self.prop()
+            b = self.prop()
+            self.lx.expect("rp", "')'")
+            return _CONNECTIVES[head](a, b)
+        if head in _QUANTS:
+            v = self.binder()
+            body = self.prop()
+            self.lx.expect("rp", "')'")
+            self.var_sorts.pop(v.name, None)
+            return _QUANTS[head](v, body)
+        if head in self.sig.predicates:
+            args = tuple(self.term(s) for s in self.sig.predicates[head])
+            self.lx.expect("rp", "')'")
+            return Atom(head, args)
+        raise ParseError(f"unknown predicate {head!r}", l2, c2)
+
+    def binder(self) -> Var:
+        self.lx.expect("lp", "'('")
+        _, name, line, col = self.lx.expect("id", "a variable")
+        self.lx.expect("colon", "':'")
+        _, sort, l2, c2 = self.lx.expect("id", "a sort")
+        self.lx.expect("rp", "')'")
+        if sort not in self.sig.sorts:
+            raise ParseError(f"undeclared sort {sort!r}", l2, c2)
+        if self.var_sorts.get(name, sort) != sort:
+            raise ParseError(
+                f"variable {name} already used at sort {self.var_sorts[name]}",
+                line, col)
+        self.var_sorts[name] = sort
+        return Var(name, sort)
+
+    # -- proofs --------------------------------------------------------------
+
+    def proof(self) -> Proof:
+        self.lx.expect("lp", "'('")
+        _, tag, line, col = self.lx.expect("id", "a rule tag")
+        label = label2 = witness = eigen = None
+        children: list[Proof] = []
+        if tag == "axiom":
+            label = self.string()
+        elif tag == "top_i":
+            pass
+        elif tag in ("bot_e", "and_e1", "and_e2", "or_i1", "or_i2"):
+            children = [self.proof()]
+        elif tag == "and_i":
+            children = [self.proof(), self.proof()]
+        elif tag == "imp_i":
+            label = self.string()
+            children = [self.proof()]
+        elif tag == "imp_e":
+            children = [self.proof(), self.proof()]
+        elif tag == "or_e":
+            major = self.proof()
+            label = self.string()
+            b1 = self.proof()
+            label2 = self.string()
+            b2 = self.proof()
+            children = [major, b1, b2]
+        elif tag == "forall_i":
+            eigen = self.binder()
+            children = [self.proof()]
+            self.var_sorts.pop(eigen.name, None)
+        elif tag == "forall_e":
+            children = [self.proof()]
+            witness = self.term(None)
+        elif tag == "exists_i":
+            witness = self.term(None)
+            children = [self.proof()]
+        elif tag == "exists_e":
+            major = self.proof()
+            eigen = self.binder()
+            label = self.string()
+            body = self.proof()
+            children = [major, body]
+            self.var_sorts.pop(eigen.name, None)
+        else:
+            raise ParseError(f"unknown rule tag {tag!r}", line, col)
+        conclusion = None
+        if self.lx.peek()[0] == "colon":
+            self.lx.next()
+            conclusion = self.prop()
+        self.lx.expect("rp", "')'")
+        return Proof(tag, tuple(children), label=label, label2=label2,
+                     witness=witness, eigen=eigen, conclusion=conclusion)
+
+    def string(self) -> str:
+        return self.lx.expect("str", "a hypothesis label")[1][1:-1]
+
+    # -- sequents --------------------------------------------------------------
+
+    def sequent(self) -> Sequent:
+        context = []
+        if self.lx.peek()[0] != "turnstile":
+            while True:
+                label = self.lx.expect("id", "a hypothesis label")[1]
+                self.lx.expect("colon", "':'")
+                context.append((label, self.prop()))
+                if self.lx.peek()[0] == "comma":
+                    self.lx.next()
+                    continue
+                break
+        self.lx.expect("turnstile", "'|-'")
+        conclusion = self.prop()
+        return Sequent(tuple(context), conclusion)
+
+
+def _fresh_parser(text: str, sig: Signature) -> _Parser:
+    return _Parser(text, sig)
+
+
+def parse_term(text: str, sig: Signature,
+               expected_sort: Optional[str] = None) -> Term:
+    p = _fresh_parser(text, sig)
+    t = p.term(expected_sort)
+    p.lx.expect("eof", "end of input")
+    return t
+
+
+def parse_prop(text: str, sig: Signature) -> Proposition:
+    p = _fresh_parser(text, sig)
+    a = p.prop()
+    p.lx.expect("eof", "end of input")
+    return a
+
+
+def parse_node(text: str, sig: Signature) -> Node:
+    """A term or a proposition, disambiguated by its head symbol."""
+    p = _fresh_parser(text, sig)
+    kind, value, _, _ = p.lx.peek()
+    if kind == "lp":
+        head = p.lx.peek(1)[1]
+    else:
+        head = value
+    if head in sig.functions or (kind == "id"
+                                 and head not in sig.predicates
+                                 and head not in ("top", "bot")):
+        x = p.term(None)
+    else:
+        x = p.prop()
+    p.lx.expect("eof", "end of input")
+    return x
+
+
+def parse_proof(text: str, sig: Signature) -> Proof:
+    p = _fresh_parser(text, sig)
+    pr = p.proof()
+    p.lx.expect("eof", "end of input")
+    return pr
+
+
+def parse_sequent(text: str, sig: Signature) -> Sequent:
+    p = _fresh_parser(text, sig)
+    s = p.sequent()
+    p.lx.expect("eof", "end of input")
+    return s
+
+
+# ---------------------------------------------------------------------------
+# Theory files
+
+
+def parse_theory(text: str, name: str = "file") -> Theory:
+    lx = _Lexer(text)
+    sorts: list[str] = []
+    functions: dict = {}
+    predicates: dict = {}
+    rules: list[RewriteRule] = []
+    asserted = False
+
+    def sig() -> Signature:
+        return make_signature(sorts, functions, predicates)
+
+    while not lx.at_end():
+        _, word, line, col = lx.expect("id", "a declaration")
+        if word == "sort":
+            s = lx.expect("id", "a sort name")[1]
+            sorts.append(s)
+        elif word == "func":
+            fn = lx.expect("id", "a function name")[1]
+            lx.expect("colon", "':'")
+            ss = []
+            while lx.peek()[0] == "id":
+                ss.append(lx.next()[1])
+            if lx.peek()[0] == "arrow":
+                lx.next()
+                result = lx.expect("id", "a result sort")[1]
+                functions[fn] = (ss, result)
+            else:
+                if len(ss) != 1:
+                    lx.error("constant declarations take a single sort")
+                functions[fn] = ([], ss[0])
+        elif word == "pred":
+            pr = lx.expect("id", "a predicate name")[1]
+            ss = []
+            if lx.peek()[0] == "colon":
+                lx.next()
+                while lx.peek()[0] == "id":
+                    ss.append(lx.next()[1])
+            predicates[pr] = ss
+        elif word == "rule":
+            rname = lx.expect("id", "a rule name")[1]
+            lx.expect("colon", "':'")
+            sub = _Parser("", sig())
+            sub.lx = lx
+            lhs = _rule_side(sub, None)
+            lx.expect("rulearrow", "'~>'")
+            if isinstance(lhs, App):
+                rhs: Node = sub.term(term_sort(sub.sig, lhs))
+            elif isinstance(lhs, Atom):
+                rhs = sub.prop()
+            else:
+                raise ParseError(
+                    "rule lhs must be a non-variable term or an atom",
+                    line, col)
+            try:
+                rules.append(RewriteRule(rname, lhs, rhs))
+            except RuleError as e:
+                raise ParseError(str(e), line, col)
+        elif word == "assert":
+            kw = lx.expect("id", "'terminating'")
+            if kw[1] != "terminating":
+                raise ParseError("only 'assert terminating.' is supported",
+                                 kw[2], kw[3])
+            asserted = True
+        else:
+            raise ParseError(f"unknown declaration {word!r}", line, col)
+        lx.expect("dot", "'.'")
+
+    rs = RewriteSystem(rules)
+    if asserted:
+        rs.assert_terminating()
+    try:
+        return Theory(name, make_signature(sorts, functions, predicates), rs)
+    except TheoryError as e:
+        raise ParseError(str(e), 1, 1)
+
+
+def _rule_side(p: _Parser, expected) -> Node:
+    kind, value, line, col = p.lx.peek()
+    head = p.lx.peek(1)[1] if kind == "lp" else value
+    if head in p.sig.predicates:
+        return p.prop()
+    if head in p.sig.functions:
+        return p.term(expected)
+    raise ParseError(f"unknown symbol {head!r} in rule", line, col)
+
+
+# ---------------------------------------------------------------------------
+# Printers
+
+
+def print_proof(p: Proof) -> str:
+    parts = [p.tag]
+    if p.tag == "axiom":
+        parts.append(f'"{p.label}"')
+    elif p.tag == "imp_i":
+        parts.append(f'"{p.label}"')
+        parts.append(print_proof(p.children[0]))
+    elif p.tag == "or_e":
+        parts.append(print_proof(p.children[0]))
+        parts.append(f'"{p.label}"')
+        parts.append(print_proof(p.children[1]))
+        parts.append(f'"{p.label2}"')
+        parts.append(print_proof(p.children[2]))
+    elif p.tag == "forall_i":
+        parts.append(f"({p.eigen.name} : {p.eigen.sort})")
+        parts.append(print_proof(p.children[0]))
+    elif p.tag == "forall_e":
+        parts.append(print_proof(p.children[0]))
+        parts.append(_print_witness(p.witness))
+    elif p.tag == "exists_i":
+        parts.append(_print_witness(p.witness))
+        parts.append(print_proof(p.children[0]))
+    elif p.tag == "exists_e":
+        parts.append(print_proof(p.children[0]))
+        parts.append(f"({p.eigen.name} : {p.eigen.sort})")
+        parts.append(f'"{p.label}"')
+        parts.append(print_proof(p.children[1]))
+    else:
+        parts.extend(print_proof(c) for c in p.children)
+    if p.conclusion is not None:
+        parts.append(": " + print_prop(p.conclusion))
+    return "(" + " ".join(parts) + ")"
+
+
+def _print_witness(t: Term) -> str:
+    if isinstance(t, Var):
+        return f"{t.name}:{t.sort}"
+    return print_term(t)
+
+
+def print_sequent(s: Sequent) -> str:
+    ctx = ", ".join(f"{l} : {print_prop(h)}" for l, h in s.context)
+    return (ctx + " " if ctx else "") + "|- " + print_prop(s.conclusion)
+
+
+def print_theory(t: Theory) -> str:
+    lines = []
+    for s in sorted(t.signature.sorts):
+        lines.append(f"sort {s}.")
+    for fn, (args, res) in t.signature.functions.items():
+        if args:
+            lines.append(f"func {fn} : {' '.join(args)} -> {res}.")
+        else:
+            lines.append(f"func {fn} : {res}.")
+    for pr, args in t.signature.predicates.items():
+        if args:
+            lines.append(f"pred {pr} : {' '.join(args)}.")
+        else:
+            lines.append(f"pred {pr}.")
+    for r in t.system.rules:
+        lines.append(f"rule {r.name}: {_print_side(r.lhs)} ~> "
+                     f"{_print_side(r.rhs)}.")
+    if t.system.termination_method == "user-asserted":
+        lines.append("assert terminating.")
+    return "\n".join(lines) + "\n"
+
+
+def _print_side(x: Node) -> str:
+    from .syntax import is_term, print_node
+    if isinstance(x, Var):
+        return f"{x.name}:{x.sort}"
+    return print_node(x)

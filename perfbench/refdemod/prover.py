@@ -1,0 +1,347 @@
+"""Bounded cut-free proof search modulo the congruence.
+
+Goal-directed intuitionistic search over introduction rules and
+hypothesis eliminations, emitting kernel-checkable natural deduction
+trees.  Existential witnesses and universal instantiations are delayed
+metavariables, resolved at branch closure by equational unification
+(narrowing).  Depth counts rule applications on a branch, so failure at
+a bound is decidable; exploration is leftmost-first and deterministic.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Iterator, Optional
+
+from .errors import FuelExhausted, TheoryError
+from .kernel import (
+    Proof, Sequent, _Session, check_proof, find_cuts, subst_hyp,
+    subst_terms_in_proof,
+)
+from .rewriting import DEFAULT_FUEL, check_nonconfusing
+from .syntax import (
+    And, Atom, BOT, Bottom, Exists, ForAll, Imp, Or, Proposition, Subst,
+    Top, Var, alpha_eq, alpha_key, apply_subst, compose, free_vars,
+    print_prop, wellformed,
+)
+from .theories import Theory
+from .unification import UnificationProblem, narrow_unify
+
+META_PREFIX = "?m"
+
+
+def _is_meta(v: Var) -> bool:
+    return v.name.startswith(META_PREFIX)
+
+
+def _metas(x) -> frozenset[Var]:
+    return frozenset(v for v in free_vars(x) if _is_meta(v))
+
+
+@dataclass
+class SearchStats:
+    nodes: int = 0
+    narrowing_calls: int = 0
+
+
+@dataclass(frozen=True)
+class SearchOutcome:
+    status: str  # "proved" | "fail" | "bound-exceeded"
+    proof: Optional[Proof]
+    stats: SearchStats
+
+    @property
+    def proved(self) -> bool:
+        return self.status == "proved"
+
+
+class _Search:
+    def __init__(self, theory: Theory, depth: int, fuel: int,
+                 narrow_depth: int, narrow_cap: int,
+                 node_cap: int = 50000):
+        self.theory = theory
+        self.rs = theory.system
+        self.session = _Session(self.rs, fuel)
+        self.depth = depth
+        self.fuel = fuel
+        self.narrow_depth = narrow_depth
+        self.narrow_cap = narrow_cap
+        self.stats = SearchStats()
+        self.node_cap = node_cap
+        self.hit_bound = False
+        self.counter = 0
+        # metavariable -> eigenvariables already in scope at its creation;
+        # a solution may not mention any later eigenvariable
+        self.meta_scope: dict[str, frozenset[str]] = {}
+        self.eigens: set[str] = set()
+
+    # -- fresh names ------------------------------------------------------
+
+    def fresh_meta(self, sort: str) -> Var:
+        self.counter += 1
+        m = Var(f"{META_PREFIX}{self.counter}", sort)
+        self.meta_scope[m.name] = frozenset(self.eigens)
+        return m
+
+    def fresh_eigen(self, base: Var, avoid: set) -> Var:
+        self.counter += 1
+        y = Var(f"{base.name}_{self.counter}", base.sort)
+        while y.name in avoid:
+            self.counter += 1
+            y = Var(f"{base.name}_{self.counter}", base.sort)
+        self.eigens.add(y.name)
+        return y
+
+    def fresh_label(self) -> str:
+        self.counter += 1
+        return f"_h{self.counter}"
+
+    # -- scope discipline for narrowing solutions -------------------------
+
+    def scope_ok(self, sol: Subst) -> bool:
+        for v, t in sol.items():
+            if not _is_meta(v):
+                continue
+            allowed = self.meta_scope.get(v.name, frozenset())
+            for w in free_vars(t):
+                if w.name in self.eigens and w.name not in allowed:
+                    return False
+        return True
+
+    # -- closure ----------------------------------------------------------
+
+    def close(self, hyp: Proposition, goal: Proposition,
+              s: Subst) -> Iterator[Subst]:
+        """Ways of making hypothesis and goal congruent, possibly
+        instantiating metavariables."""
+        if not _metas(hyp) and not _metas(goal):
+            try:
+                if self.session.congruent(hyp, goal):
+                    yield s
+            except FuelExhausted:
+                self.hit_bound = True
+            return
+        pairs = _structural_pairs(hyp, goal)
+        if pairs is None:
+            return
+        problem = UnificationProblem.of(pairs, self.rs)
+        if problem is None:
+            return
+        self.stats.narrowing_calls += 1
+        stream = narrow_unify(problem, self.narrow_depth, self.narrow_cap,
+                              self.fuel)
+        if not stream.complete:
+            self.hit_bound = True
+        for sol in stream.solutions:
+            if self.scope_ok(sol):
+                yield compose(s, sol)
+
+    # -- the engine -------------------------------------------------------
+
+    def prove(self, ctx, goal, depth, s,
+              path=()) -> Iterator[tuple[Proof, Subst]]:
+        """ctx: list of (label, proposition, uses-left)."""
+        self.stats.nodes += 1
+        if self.stats.nodes > self.node_cap:
+            self.hit_bound = True
+            return
+        goal = self.session.expose(apply_subst(s, goal))
+
+        # loop check: a sequent repeating an ancestor with no more uses
+        # left on any hypothesis is redundant (the ancestor, which has
+        # more depth, subsumes it)
+        entries = sorted((alpha_key(apply_subst(s, h)), u) for _, h, u in ctx)
+        state = (alpha_key(goal), tuple(k for k, _ in entries),
+                 tuple(u for _, u in entries))
+        for g, ks, us in path:
+            if (g == state[0] and ks == state[1]
+                    and all(u2 <= u1 for u1, u2 in zip(us, state[2]))):
+                return
+        path = path + (state,)
+
+        # close the branch against a hypothesis
+        for label, hyp, _ in ctx:
+            h = self.session.expose(apply_subst(s, hyp))
+            for s2 in self.close(h, goal, s):
+                yield Proof("axiom", label=label), s2
+
+        if depth <= 0:
+            self.hit_bound = True
+            return
+
+        yield from self._intro(ctx, goal, depth, s, path)
+        yield from self._elim(ctx, goal, depth, s, path)
+
+    def _intro(self, ctx, goal, depth, s, path):
+        if isinstance(goal, Top):
+            yield Proof("top_i"), s
+        elif isinstance(goal, And):
+            for pl, s1 in self.prove(ctx, goal.left, depth - 1, s, path):
+                for pr, s2 in self.prove(ctx, goal.right, depth - 1, s1, path):
+                    yield Proof("and_i", (pl, pr)), s2
+        elif isinstance(goal, Or):
+            for p, s1 in self.prove(ctx, goal.left, depth - 1, s, path):
+                yield Proof("or_i1", (p,)), s1
+            for p, s1 in self.prove(ctx, goal.right, depth - 1, s, path):
+                yield Proof("or_i2", (p,)), s1
+        elif isinstance(goal, Imp):
+            label = self.fresh_label()
+            ctx2 = ctx + [(label, goal.left, self.depth)]
+            for p, s1 in self.prove(ctx2, goal.right, depth - 1, s, path):
+                yield Proof("imp_i", (p,), label=label), s1
+        elif isinstance(goal, ForAll):
+            avoid = {v.name for _, h, _ in ctx for v in free_vars(h)}
+            avoid |= {v.name for v in free_vars(goal)}
+            y = self.fresh_eigen(goal.var, avoid)
+            body = apply_subst({goal.var: y}, goal.body)
+            for p, s1 in self.prove(ctx, body, depth - 1, s, path):
+                yield Proof("forall_i", (p,), eigen=y), s1
+        elif isinstance(goal, Exists):
+            m = self.fresh_meta(goal.var.sort)
+            body = apply_subst({goal.var: m}, goal.body)
+            for p, s1 in self.prove(ctx, body, depth - 1, s, path):
+                yield Proof("exists_i", (p,), witness=m), s1
+
+    def _elim(self, ctx, goal, depth, s, path):
+        for i, (label, hyp, uses) in enumerate(ctx):
+            if uses <= 0:
+                continue
+            h = self.session.expose(apply_subst(s, hyp))
+            rest = ctx[:i] + [(label, hyp, uses - 1)] + ctx[i + 1:]
+            use = Proof("axiom", label=label)
+            if isinstance(h, Bottom):
+                yield Proof("bot_e", (use,)), s
+            elif isinstance(h, And):
+                l1, l2 = self.fresh_label(), self.fresh_label()
+                ctx2 = (ctx[:i] + ctx[i + 1:]
+                        + [(l1, h.left, self.depth), (l2, h.right, self.depth)])
+                for p, s1 in self.prove(ctx2, goal, depth - 1, s, path):
+                    p = subst_hyp(p, l1, Proof("and_e1", (use,)))
+                    p = subst_hyp(p, l2, Proof("and_e2", (use,)))
+                    yield p, s1
+            elif isinstance(h, Imp):
+                lb = self.fresh_label()
+                for pm, s1 in self.prove(rest, h.left, depth - 1, s, path):
+                    ctx2 = rest + [(lb, h.right, self.depth)]
+                    for p, s2 in self.prove(ctx2, goal, depth - 1, s1, path):
+                        yield subst_hyp(
+                            p, lb, Proof("imp_e", (use, pm))), s2
+            elif isinstance(h, Or):
+                l1, l2 = self.fresh_label(), self.fresh_label()
+                base = ctx[:i] + ctx[i + 1:]
+                for p1, s1 in self.prove(base + [(l1, h.left, self.depth)],
+                                         goal, depth - 1, s):
+                    for p2, s2 in self.prove(
+                            base + [(l2, h.right, self.depth)],
+                            goal, depth - 1, s1):
+                        yield Proof("or_e", (use, p1, p2),
+                                    label=l1, label2=l2), s2
+            elif isinstance(h, ForAll):
+                m = self.fresh_meta(h.var.sort)
+                inst = apply_subst({h.var: m}, h.body)
+                li = self.fresh_label()
+                ctx2 = rest + [(li, inst, self.depth)]
+                for p, s1 in self.prove(ctx2, goal, depth - 1, s, path):
+                    w = apply_subst(s1, m)
+                    yield subst_hyp(
+                        p, li, Proof("forall_e", (use,), witness=w)), s1
+            elif isinstance(h, Exists):
+                avoid = {v.name for _, hh, _ in ctx for v in free_vars(hh)}
+                avoid |= {v.name for v in free_vars(goal)}
+                y = self.fresh_eigen(h.var, avoid)
+                lb = self.fresh_label()
+                base = ctx[:i] + ctx[i + 1:]
+                inst = apply_subst({h.var: y}, h.body)
+                for p, s1 in self.prove(base + [(lb, inst, self.depth)],
+                                        goal, depth - 1, s):
+                    yield Proof("exists_e", (use, p),
+                                label=lb, eigen=y), s1
+
+
+def _structural_pairs(a: Proposition, b: Proposition):
+    """Decompose two propositions of identical shape into atom pairs;
+    None on shape mismatch.  Quantified formulas are not unified here --
+    the search decomposes them first."""
+    if isinstance(a, Atom) and isinstance(b, Atom):
+        return [(a, b)]
+    if type(a) is not type(b):
+        return None
+    if isinstance(a, (Top, Bottom)):
+        return []
+    if isinstance(a, (And, Or, Imp)):
+        l = _structural_pairs(a.left, b.left)
+        if l is None:
+            return None
+        r = _structural_pairs(a.right, b.right)
+        if r is None:
+            return None
+        return l + r
+    return None  # quantifiers
+
+
+def _resolve_metas(proof: Proof, s: Subst, counter: list) -> Proof:
+    """Apply the final substitution, then replace any still-unconstrained
+    metavariable by a fresh ordinary variable."""
+    proof = subst_terms_in_proof(s, proof)
+    leftovers = {}
+
+    def scan(p: Proof):
+        if p.witness is not None:
+            for v in free_vars(p.witness):
+                if _is_meta(v) and v not in leftovers:
+                    counter[0] += 1
+                    leftovers[v] = Var(f"w{counter[0]}", v.sort)
+        for c in p.children:
+            scan(c)
+
+    scan(proof)
+    if leftovers:
+        proof = subst_terms_in_proof(leftovers, proof)
+    return proof
+
+
+def search_proof(theory: Theory, goal: Sequent, depth: int = 8,
+                 fuel: int = DEFAULT_FUEL, narrow_depth: int = 8,
+                 narrow_cap: int = 16, node_cap: int = 50000,
+                 require_kernel_check: bool = True) -> SearchOutcome:
+    """Bounded goal-directed search for a cut-free proof of the sequent.
+
+    Fail means the bounded search space was fully exhausted; a depth or
+    narrowing bound hit anywhere downgrades that to BoundExceeded."""
+    if depth <= 0:
+        raise ValueError("depth must be positive")
+    if not check_nonconfusing(theory.system):
+        raise TheoryError("theory is not non-confusing")
+    if not isinstance(goal, Sequent):
+        goal = Sequent((), goal)
+    sig = theory.signature
+    for _, h in goal.context:
+        w = wellformed(sig, h)
+        if not w:
+            raise TheoryError(f"malformed hypothesis: {w.message}")
+    w = wellformed(sig, goal.conclusion)
+    if not w:
+        raise TheoryError(f"malformed goal: {w.message}")
+
+    engine = _Search(theory, depth, fuel, narrow_depth, narrow_cap, node_cap)
+    ctx = [(label, h, depth) for label, h in goal.context]
+    for proof, s in engine.prove(ctx, goal.conclusion, depth, {}):
+        proof = _resolve_metas(proof, s, [engine.counter])
+        if require_kernel_check:
+            res = check_proof(theory, proof, goal, fuel)
+            if not res.ok or find_cuts(theory, res.proof):
+                continue  # defensive: skip unsound candidates
+            proof = res.proof
+        return SearchOutcome("proved", proof, engine.stats)
+    status = "bound-exceeded" if engine.hit_bound else "fail"
+    return SearchOutcome(status, None, engine.stats)
+
+
+def consistency_probe(theory: Theory, depth: int = 10,
+                      hypotheses=(), **kw) -> SearchOutcome:
+    """Search for a proof of falsum; Fail is the consistency-at-bound
+    verdict.  Extra hypotheses support probing an axiomatic presentation
+    of the same theory."""
+    goal = Sequent(tuple((f"hyp{i}", h) for i, h in enumerate(hypotheses)),
+                   BOT)
+    return search_proof(theory, goal, depth, **kw)

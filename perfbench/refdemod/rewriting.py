@@ -1,0 +1,498 @@
+"""The congruence engine: oriented rules, matching, normalization,
+critical pairs, local confluence, LPO termination, non-confusion.
+
+A rewrite system defines the congruence that every other module reasons
+modulo.  Left-hand sides are either non-variable terms or atomic
+propositions; proposition rules match a whole atom at its root, and deep
+rewriting lets that atom sit anywhere inside a proposition.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Optional
+
+from .errors import FuelExhausted, RuleError
+from .syntax import (
+    App, Atom, BINARY, Bottom, Exists, ForAll, Hole, Node, Position,
+    Proposition, QUANT, Subst, Term, Top, Var, alpha_eq, alpha_key,
+    apply_subst, children, free_vars, fresh_var, is_term, positions,
+    print_node, replace_at, with_children,
+)
+
+DEFAULT_FUEL = 10000
+
+
+@dataclass(frozen=True)
+class RewriteRule:
+    """An oriented rule.  Kind is inferred from the left-hand side:
+    a non-variable term gives a term rule, an atom a proposition rule."""
+
+    name: str
+    lhs: Node
+    rhs: Node
+
+    def __post_init__(self):
+        if isinstance(self.lhs, Var):
+            raise RuleError(f"rule {self.name}: lhs must not be a variable")
+        if isinstance(self.lhs, App):
+            if not is_term(self.rhs):
+                raise RuleError(f"rule {self.name}: term lhs needs a term rhs")
+        elif isinstance(self.lhs, Atom):
+            if is_term(self.rhs):
+                raise RuleError(
+                    f"rule {self.name}: proposition lhs needs a proposition rhs")
+        else:
+            raise RuleError(
+                f"rule {self.name}: lhs must be a term or an atomic proposition")
+        extra = free_vars(self.rhs) - free_vars(self.lhs)
+        if extra:
+            names = ", ".join(sorted(v.name for v in extra))
+            raise RuleError(f"rule {self.name}: rhs has extra variables {names}")
+
+    @property
+    def is_term_rule(self) -> bool:
+        return isinstance(self.lhs, App)
+
+
+@dataclass
+class RewriteSystem:
+    """Ordered rules plus validation flags.
+
+    Flags are only set by the corresponding check operations or by an
+    explicit user assertion (``assert_terminating``); they start unset.
+    """
+
+    rules: list[RewriteRule] = field(default_factory=list)
+    asserted_terminating: bool = False
+    termination_method: Optional[str] = None  # "lpo" | "user-asserted"
+    checked_locally_confluent: bool = False
+    checked_nonconfusing: bool = False
+
+    def __post_init__(self):
+        names = [r.name for r in self.rules]
+        if len(names) != len(set(names)):
+            raise RuleError("rule names must be unique")
+
+    @property
+    def term_rules(self) -> list[RewriteRule]:
+        return [r for r in self.rules if r.is_term_rule]
+
+    @property
+    def prop_rules(self) -> list[RewriteRule]:
+        return [r for r in self.rules if not r.is_term_rule]
+
+    def assert_terminating(self):
+        self.asserted_terminating = True
+        if self.termination_method != "lpo":
+            self.termination_method = "user-asserted"
+
+    @property
+    def convergent(self) -> bool:
+        return self.asserted_terminating and self.checked_locally_confluent
+
+
+# ---------------------------------------------------------------------------
+# Matching
+
+
+def match_pattern(pattern: Node, subject: Node,
+                  binding: Optional[Subst] = None) -> Optional[Subst]:
+    """First-order matching: a substitution s with s(pattern) == subject,
+    or None.  Patterns are legal rule left-hand sides, so no binders."""
+    s = dict(binding) if binding else {}
+    if _match(pattern, subject, s):
+        return s
+    return None
+
+
+def _match(p: Node, t: Node, s: Subst) -> bool:
+    if isinstance(p, Var):
+        if not is_term(t):
+            return False
+        if p in s:
+            return s[p] == t
+        s[p] = t
+        return True
+    if isinstance(p, App):
+        return (isinstance(t, App) and p.fn == t.fn
+                and len(p.args) == len(t.args)
+                and all(_match(a, b, s) for a, b in zip(p.args, t.args)))
+    if isinstance(p, Atom):
+        return (isinstance(t, Atom) and p.pred == t.pred
+                and len(p.args) == len(t.args)
+                and all(_match(a, b, s) for a, b in zip(p.args, t.args)))
+    return False  # holes and non-atomic propositions never occur in patterns
+
+
+# ---------------------------------------------------------------------------
+# Redex enumeration and normalization
+
+
+def _step_at(rs: RewriteSystem, node: Node):
+    """First rule rewriting `node` at its root, as (rule, reduct) or None."""
+    if isinstance(node, (App,)):
+        for r in rs.term_rules:
+            s = match_pattern(r.lhs, node)
+            if s is not None:
+                return r, apply_subst(s, r.rhs)
+    elif isinstance(node, Atom):
+        for r in rs.prop_rules:
+            s = match_pattern(r.lhs, node)
+            if s is not None:
+                return r, apply_subst(s, r.rhs)
+    return None
+
+
+def rewrite_positions(rs: RewriteSystem, x: Node):
+    """Every redex at every position, including under quantifiers and
+    inside atoms.  Returns (position, rule name, reduct of the whole
+    input); empty iff x is in normal form."""
+    out = []
+    for pos, node in positions(x):
+        if isinstance(node, App):
+            rules = rs.term_rules
+        elif isinstance(node, Atom):
+            rules = rs.prop_rules
+        else:
+            continue
+        for r in rules:
+            s = match_pattern(r.lhs, node)
+            if s is not None:
+                out.append((pos, r.name, replace_at(x, pos, apply_subst(s, r.rhs))))
+    return out
+
+
+def _innermost_redex(rs: RewriteSystem, x: Node, pos: Position = ()):
+    """Leftmost-innermost redex as (position, rule, reduct-at-position)."""
+    for i, c in enumerate(children(x)):
+        found = _innermost_redex(rs, c, pos + (i,))
+        if found is not None:
+            return found
+    hit = _step_at(rs, x)
+    if hit is not None:
+        rule, reduct = hit
+        return pos, rule, reduct
+    return None
+
+
+@dataclass(frozen=True)
+class NormalForm:
+    value: Node
+    steps: int
+
+
+def normalize(rs: RewriteSystem, x: Node, fuel: int = DEFAULT_FUEL,
+              strategy: str = "innermost", rng=None) -> NormalForm:
+    """Repeated rewriting to normal form.
+
+    Strategy is leftmost-innermost by default; "random" picks a random
+    redex each step (used by the strategy-independence tests).  Raises
+    FuelExhausted when the step budget runs out -- a possibly
+    non-terminating system, never silently a normal form.
+    """
+    if fuel <= 0:
+        raise ValueError("fuel must be positive")
+    steps = 0
+    while True:
+        if strategy == "innermost":
+            found = _innermost_redex(rs, x)
+            if found is None:
+                return NormalForm(x, steps)
+            pos, _, reduct = found
+            x = replace_at(x, pos, reduct)
+        elif strategy == "random":
+            redexes = rewrite_positions(rs, x)
+            if not redexes:
+                return NormalForm(x, steps)
+            _, _, x = rng.choice(redexes)
+        else:
+            raise ValueError(f"unknown strategy {strategy!r}")
+        steps += 1
+        if steps > fuel:
+            raise FuelExhausted(
+                f"no normal form of {print_node(x)} within {fuel} steps",
+                steps=steps)
+
+
+# ---------------------------------------------------------------------------
+# Congruence
+
+
+def congruent_detail(rs: RewriteSystem, a: Node, b: Node,
+                     fuel: int = DEFAULT_FUEL) -> tuple[bool, str]:
+    """Decide a == b modulo the system; returns (verdict, method).
+
+    With a terminating and locally confluent system the verdict compares
+    normal forms and is trusted.  Otherwise a bounded bidirectional
+    joinability search is used and the verdict is marked "heuristic";
+    an undecided heuristic search raises FuelExhausted.
+    """
+    if alpha_eq(a, b):
+        return True, "syntactic"
+    if rs.convergent:
+        na = normalize(rs, a, fuel).value
+        nb = normalize(rs, b, fuel).value
+        return alpha_eq(na, nb), "normal-form"
+    return _joinable_search(rs, a, b, fuel), "heuristic"
+
+
+def congruent(rs: RewriteSystem, a: Node, b: Node,
+              fuel: int = DEFAULT_FUEL) -> bool:
+    return congruent_detail(rs, a, b, fuel)[0]
+
+
+def _joinable_search(rs: RewriteSystem, a: Node, b: Node, fuel: int,
+                     max_layers: int = 32) -> bool:
+    """Breadth-first forward closure of both sides, testing intersection.
+
+    Decides positively as soon as the reachable sets meet, negatively
+    when both closures are finite and disjoint.  The layer cap keeps
+    single-redex divergent systems from growing unbounded terms."""
+    seen_a = {alpha_key(a): a}
+    seen_b = {alpha_key(b): b}
+    frontier_a, frontier_b = [a], [b]
+    budget = fuel
+    layers = 0
+    while frontier_a or frontier_b:
+        layers += 1
+        if layers > max_layers:
+            raise FuelExhausted(
+                "joinability search undecided within the layer bound")
+        if set(seen_a) & set(seen_b):
+            return True
+        next_a, next_b = [], []
+        for frontier, seen, acc in ((frontier_a, seen_a, next_a),
+                                    (frontier_b, seen_b, next_b)):
+            for x in frontier:
+                for _, _, reduct in rewrite_positions(rs, x):
+                    budget -= 1
+                    if budget < 0:
+                        raise FuelExhausted(
+                            "joinability search undecided within fuel")
+                    k = alpha_key(reduct)
+                    if k not in seen:
+                        seen[k] = reduct
+                        acc.append(reduct)
+        frontier_a, frontier_b = next_a, next_b
+    return bool(set(seen_a) & set(seen_b))
+
+
+# ---------------------------------------------------------------------------
+# Critical pairs and local confluence
+
+
+@dataclass(frozen=True)
+class CriticalPair:
+    peak: Node
+    left: Node       # reduct by the inner rule
+    right: Node      # reduct by the outer rule
+    position: Position
+    inner_rule: str
+    outer_rule: str
+    joinable: str = "unknown"  # "yes" | "no" | "unknown"
+
+
+def _rename_apart(rule: RewriteRule, avoid: set[str]) -> RewriteRule:
+    ren: Subst = {}
+    taken = set(avoid)
+    for v in sorted(free_vars(rule.lhs), key=lambda w: w.name):
+        if v.name in taken:
+            v2 = fresh_var(v, taken)
+            ren[v] = v2
+            taken.add(v2.name)
+        else:
+            taken.add(v.name)
+    if not ren:
+        return rule
+    return RewriteRule(rule.name, apply_subst(ren, rule.lhs),
+                       apply_subst(ren, rule.rhs))
+
+
+def critical_pairs(rs: RewriteSystem) -> list[CriticalPair]:
+    """All overlaps between renamed-apart rule pairs at non-variable
+    positions; the trivial root self-overlap of a rule with itself is
+    excluded."""
+    from .unification import unify_syntactic
+
+    out = []
+    for outer in rs.rules:
+        avoid = {v.name for v in free_vars(outer.lhs)}
+        for inner_orig in rs.rules:
+            inner = _rename_apart(inner_orig, avoid)
+            if not inner.is_term_rule and not outer.is_term_rule:
+                spots = [()] if inner_orig is not outer else []
+            elif inner.is_term_rule:
+                spots = [pos for pos, node in positions(outer.lhs)
+                         if isinstance(node, App)
+                         and not (pos == () and inner_orig is outer)]
+                if not outer.is_term_rule:
+                    spots = [p for p in spots if p != ()]
+            else:
+                continue  # proposition lhs never occurs inside a term
+            for pos in spots:
+                sub = subterm_at_node(outer.lhs, pos)
+                mgu = unify_syntactic(sub, inner.lhs)
+                if mgu is None:
+                    continue
+                peak = apply_subst(mgu, outer.lhs)
+                right = apply_subst(mgu, outer.rhs)
+                left = apply_subst(
+                    mgu, replace_at(outer.lhs, pos, inner.rhs))
+                if alpha_eq(left, right):
+                    continue  # trivially joined
+                out.append(CriticalPair(peak, left, right, pos,
+                                        inner_orig.name, outer.name))
+    return out
+
+
+def subterm_at_node(x: Node, pos: Position) -> Node:
+    for i in pos:
+        x = children(x)[i]
+    return x
+
+
+@dataclass(frozen=True)
+class ConfluenceReport:
+    pairs: tuple[CriticalPair, ...]
+    joinable: tuple[CriticalPair, ...]
+    failures: tuple[CriticalPair, ...]
+    unknown: tuple[CriticalPair, ...]
+
+    @property
+    def locally_confluent(self) -> bool:
+        return not self.failures and not self.unknown
+
+
+def check_local_confluence(rs: RewriteSystem,
+                           fuel: int = DEFAULT_FUEL) -> ConfluenceReport:
+    """Test every critical pair for joinability by normalization within
+    fuel; sets the checked-locally-confluent flag iff all pairs join."""
+    joinable, failures, unknown = [], [], []
+    for cp in critical_pairs(rs):
+        try:
+            nl = normalize(rs, cp.left, fuel).value
+            nr = normalize(rs, cp.right, fuel).value
+        except FuelExhausted:
+            unknown.append(CriticalPair(
+                cp.peak, cp.left, cp.right, cp.position,
+                cp.inner_rule, cp.outer_rule, "unknown"))
+            continue
+        verdict = "yes" if alpha_eq(nl, nr) else "no"
+        bucket = joinable if verdict == "yes" else failures
+        bucket.append(CriticalPair(cp.peak, cp.left, cp.right, cp.position,
+                                   cp.inner_rule, cp.outer_rule, verdict))
+    report = ConfluenceReport(tuple(joinable + failures + unknown),
+                              tuple(joinable), tuple(failures), tuple(unknown))
+    if report.locally_confluent:
+        rs.checked_locally_confluent = True
+    return report
+
+
+# ---------------------------------------------------------------------------
+# Termination: lexicographic path ordering (sufficient check only)
+
+
+_CONNECTIVE_HEADS = {"and#": -1, "or#": -1, "imp#": -1, "top#": -1,
+                     "bot#": -1, "forall#": -1, "exists#": -1}
+
+
+def _encode(x: Node, bound: dict) -> Node:
+    """Propositions as first-order trees for the path ordering; bound
+    variables become opaque constants so the variable condition is not
+    falsely triggered."""
+    if isinstance(x, Var):
+        if x in bound:
+            return App(bound[x], ())
+        return x
+    if isinstance(x, Hole):
+        return App("hole#", ())
+    if isinstance(x, App):
+        return App(x.fn, tuple(_encode(a, bound) for a in x.args))
+    if isinstance(x, Atom):
+        return App(x.pred, tuple(_encode(a, bound) for a in x.args))
+    if isinstance(x, Top):
+        return App("top#", ())
+    if isinstance(x, Bottom):
+        return App("bot#", ())
+    if isinstance(x, BINARY):
+        tag = {"And": "and#", "Or": "or#", "Imp": "imp#"}[type(x).__name__]
+        return App(tag, (_encode(x.left, bound), _encode(x.right, bound)))
+    tag = "forall#" if isinstance(x, ForAll) else "exists#"
+    b2 = dict(bound)
+    b2[x.var] = f"bv{len(bound)}#"
+    return App(tag, (_encode(x.body, b2),))
+
+
+def _prec(rank: dict, f: str) -> int:
+    if f in rank:
+        return rank[f]
+    if f in _CONNECTIVE_HEADS:
+        return -1
+    return -2  # bound-variable constants, below everything
+
+
+def lpo_gt(rank: dict, s: Node, t: Node, right: bool = False) -> bool:
+    if isinstance(s, Var):
+        return False
+    if isinstance(t, Var):
+        return t in free_vars(s)
+    # both are App after encoding
+    if any(a == t or lpo_gt(rank, a, t, right) for a in s.args):
+        return True
+    ps, pt = _prec(rank, s.fn), _prec(rank, t.fn)
+    if ps > pt:
+        return all(lpo_gt(rank, s, b, right) for b in t.args)
+    if s.fn == t.fn and len(s.args) == len(t.args):
+        order = zip(reversed(s.args), reversed(t.args)) if right \
+            else zip(s.args, t.args)
+        for a, b in order:
+            if a == b:
+                continue
+            if lpo_gt(rank, a, b, right):
+                return all(lpo_gt(rank, s, c, right) for c in t.args)
+            return False
+    return False
+
+
+def check_termination_lpo(rs: RewriteSystem, precedence: list[str]) -> bool:
+    """True iff lhs > rhs in the lexicographic path order induced by the
+    precedence (later entries are greater) for every rule, with either a
+    left-to-right or a right-to-left status used uniformly; sets the
+    asserted-terminating flag when it succeeds."""
+    rank = {f: i for i, f in enumerate(precedence)}
+    ok = any(
+        all(lpo_gt(rank, _encode(r.lhs, {}), _encode(r.rhs, {}), right)
+            for r in rs.rules)
+        for right in (False, True))
+    if ok:
+        rs.asserted_terminating = True
+        rs.termination_method = "lpo"
+    return ok
+
+
+# ---------------------------------------------------------------------------
+# Non-confusion
+
+
+def check_nonconfusing(rs: RewriteSystem) -> bool:
+    """Sufficient syntactic criterion: every proposition rule rewrites an
+    atom, every term rule a term, and no two proposition rules with
+    overlapping left-hand sides expose different head connectives."""
+    ok = all(isinstance(r.lhs, (App, Atom)) for r in rs.rules)
+    if ok:
+        from .unification import unify_syntactic
+        prop_rules = rs.prop_rules
+        for i, r1 in enumerate(prop_rules):
+            for r2 in prop_rules[i + 1:]:
+                a = _rename_apart(r1, {v.name for v in free_vars(r2.lhs)})
+                if unify_syntactic(a.lhs, r2.lhs) is None:
+                    continue
+                h1, h2 = a.rhs, r2.rhs
+                if isinstance(h1, Atom) or isinstance(h2, Atom):
+                    continue  # an atom reduct never clashes on its head
+                if type(h1) is not type(h2):
+                    ok = False
+    if ok:
+        rs.checked_nonconfusing = True
+    return ok
