@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import DemodError, FuelExhausted, ParseError
+from .errors import FuelExhausted, ParseError
 from .kernel import (
     check_proof, find_cuts, normalize_proof,
 )
@@ -21,7 +21,7 @@ from .parsing import (
 )
 from .prover import consistency_probe, search_proof
 from .rewriting import DEFAULT_FUEL, congruent_detail, normalize
-from .syntax import print_node, wellformed
+from .syntax import print_node
 from .theories import (
     BUILTIN_NAMES, Theory, load_builtin, subformula_closure, validate_theory,
 )
@@ -58,16 +58,21 @@ def _verdict(word: str, lines=()) -> int:
             "fuel-exhausted": EXIT_ERROR}[word]
 
 
-def _cmd_check(args) -> int:
+def _checked(args):
+    """The theory, the sequent, and the kernel's verdict on the proof."""
     theory = _load_theory(args.theory)
     proof = parse_proof(_read(args.proof), theory.signature)
     sequent = parse_sequent(_read(args.goal), theory.signature)
-    result = check_proof(theory, proof, sequent, fuel=args.fuel)
-    lines = []
-    if not result.ok:
-        lines.append(f"at {list(result.path)}: {result.message}")
-        return _verdict("invalid", lines)
-    return _verdict("ok", lines)
+    return theory, sequent, check_proof(theory, proof, sequent, fuel=args.fuel)
+
+
+def _invalid(result) -> int:
+    return _verdict("invalid", [f"at {list(result.path)}: {result.message}"])
+
+
+def _cmd_check(args) -> int:
+    result = _checked(args)[2]
+    return _verdict("ok") if result.ok else _invalid(result)
 
 
 def _cmd_normalize(args) -> int:
@@ -127,12 +132,9 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_cuts(args) -> int:
-    theory = _load_theory(args.theory)
-    proof = parse_proof(_read(args.proof), theory.signature)
-    sequent = parse_sequent(_read(args.goal), theory.signature)
-    result = check_proof(theory, proof, sequent, fuel=args.fuel)
+    theory, _, result = _checked(args)
     if not result.ok:
-        return _verdict("invalid", [f"at {list(result.path)}: {result.message}"])
+        return _invalid(result)
     report = find_cuts(theory, result.proof, fuel=args.fuel)
     lines = [f"cut at {list(path)}: {intro}/{elim}"
              for path, intro, elim in report.cuts]
@@ -141,12 +143,9 @@ def _cmd_cuts(args) -> int:
 
 
 def _cmd_eliminate(args) -> int:
-    theory = _load_theory(args.theory)
-    proof = parse_proof(_read(args.proof), theory.signature)
-    sequent = parse_sequent(_read(args.goal), theory.signature)
-    result = check_proof(theory, proof, sequent, fuel=args.fuel)
+    theory, sequent, result = _checked(args)
     if not result.ok:
-        return _verdict("invalid", [f"at {list(result.path)}: {result.message}"])
+        return _invalid(result)
     try:
         normalized = normalize_proof(theory, result.proof, fuel=args.depth * 125,
                                      goal=sequent, congruence_fuel=args.fuel)
@@ -191,7 +190,7 @@ def _cmd_probe(args) -> int:
     return _verdict("bound-exceeded", lines)
 
 
-def _add_common(sp, theory_positional: bool = True):
+def _add_common(sp):
     sp.add_argument("theory",
                     help="theory file path, or builtin:<name> with name in "
                          + ", ".join(BUILTIN_NAMES))
@@ -203,69 +202,44 @@ def _add_common(sp, theory_positional: bool = True):
                     help="maximum solutions to enumerate (default 16)")
 
 
+PROOF_FILES = (("proof", None), ("goal", None))
+SIDES = (("left", None), ("right", None))
+
+# verb: (help, handler, positional arguments after the theory as (name, help))
+VERBS = {
+    "check": ("check a proof against a sequent", _cmd_check,
+              (("proof", "proof file ('-' for stdin)"),
+               ("goal", "sequent file ('-' for stdin)"))),
+    "normalize": ("rewrite to normal form", _cmd_normalize,
+                  (("expr", "term or proposition"),)),
+    "congruent": ("decide the congruence", _cmd_congruent, SIDES),
+    "unify": ("unify modulo the rules (narrowing)", _cmd_unify, SIDES),
+    "prove": ("search for a proof of a proposition", _cmd_prove,
+              (("goal", "proposition to prove"),)),
+    "cuts": ("list the cuts of a checked proof", _cmd_cuts, PROOF_FILES),
+    "eliminate": ("normalize a proof (cut elimination)", _cmd_eliminate,
+                  PROOF_FILES),
+    "validate": ("report on a theory's rules", _cmd_validate, ()),
+    "subformulae": ("congruence-closed sub-formula classes",
+                    _cmd_subformulae, (("prop", None),)),
+    "probe": ("bounded search for a proof of falsity", _cmd_probe, ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="demod",
         description="a workbench for natural deduction modulo rewriting")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("check", help="check a proof against a sequent")
-    _add_common(sp)
-    sp.add_argument("proof", help="proof file ('-' for stdin)")
-    sp.add_argument("goal", help="sequent file ('-' for stdin)")
-    sp.set_defaults(fn=_cmd_check)
-
-    sp = sub.add_parser("normalize", help="rewrite to normal form")
-    _add_common(sp)
-    sp.add_argument("expr", help="term or proposition")
-    sp.set_defaults(fn=_cmd_normalize)
-
-    sp = sub.add_parser("congruent", help="decide the congruence")
-    _add_common(sp)
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp.set_defaults(fn=_cmd_congruent)
-
-    sp = sub.add_parser("unify", help="unify modulo the rules (narrowing)")
-    _add_common(sp)
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp.set_defaults(fn=_cmd_unify)
-
-    sp = sub.add_parser("prove", help="search for a proof of a proposition")
-    _add_common(sp)
-    sp.add_argument("goal", help="proposition to prove")
-    sp.set_defaults(fn=_cmd_prove)
-
-    sp = sub.add_parser("cuts", help="list the cuts of a checked proof")
-    _add_common(sp)
-    sp.add_argument("proof")
-    sp.add_argument("goal")
-    sp.set_defaults(fn=_cmd_cuts)
-
-    sp = sub.add_parser("eliminate", help="normalize a proof (cut elimination)")
-    _add_common(sp)
-    sp.add_argument("proof")
-    sp.add_argument("goal")
-    sp.set_defaults(fn=_cmd_eliminate)
-
-    sp = sub.add_parser("validate", help="report on a theory's rules")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_validate)
-
-    sp = sub.add_parser("subformulae",
-                        help="congruence-closed sub-formula classes")
-    _add_common(sp)
-    sp.add_argument("prop")
-    sp.set_defaults(fn=_cmd_subformulae)
-
-    sp = sub.add_parser("probe",
-                        help="bounded search for a proof of falsity")
-    _add_common(sp)
-    sp.add_argument("--hyp", action="append", default=[],
-                    help="extra hypothesis (repeatable)")
-    sp.set_defaults(fn=_cmd_probe)
-
+    for verb, (text, fn, positionals) in VERBS.items():
+        sp = sub.add_parser(verb, help=text)
+        _add_common(sp)
+        for name, arg_help in positionals:
+            sp.add_argument(name, help=arg_help)
+        sp.set_defaults(fn=fn)
+    sub.choices["probe"].add_argument(
+        "--hyp", action="append", default=[],
+        help="extra hypothesis (repeatable)")
     return ap
 
 
@@ -273,12 +247,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        print("#verdict: error")
-        return EXIT_ERROR
-    except (DemodError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except Exception as e:   # any error or crash, never a definite "no"
+        kind = "parse error" if isinstance(e, ParseError) else "error"
+        print(f"{kind}: {e}", file=sys.stderr)
         print("#verdict: error")
         return EXIT_ERROR
 

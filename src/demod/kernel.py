@@ -13,7 +13,8 @@ conclusion annotation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
+from math import inf
 from typing import Optional
 
 from .errors import FuelExhausted, ProofError, RuleError
@@ -368,11 +369,6 @@ def find_cuts(theory, proof: Proof, fuel: int = DEFAULT_FUEL) -> CutReport:
     return CutReport(tuple(cuts))
 
 
-def ends_with_intro(proof: Proof) -> bool:
-    """True iff the root is an introduction rule."""
-    return proof.tag in INTRO_TAGS
-
-
 # ---------------------------------------------------------------------------
 # Hypothesis-label machinery
 
@@ -592,25 +588,6 @@ class NormalizedProof:
     steps: int
 
 
-def _post_order_first(cuts) -> Position:
-    """Leftmost-innermost cut: first in post-order traversal order.
-
-    p comes before q iff p is to the left of q or a strict descendant
-    of q."""
-    def before(p, q):
-        if p[:len(q)] == q and len(p) > len(q):
-            return True   # descendant of q
-        if q[:len(p)] == p and len(q) > len(p):
-            return False  # ancestor of q
-        return p < q
-
-    best = cuts[0][0]
-    for path, _, _ in cuts[1:]:
-        if before(path, best):
-            best = path
-    return best
-
-
 def normalize_proof(theory, proof: Proof, fuel: int = 1000,
                     goal: Optional[Sequent] = None,
                     congruence_fuel: int = DEFAULT_FUEL) -> NormalizedProof:
@@ -633,8 +610,10 @@ def normalize_proof(theory, proof: Proof, fuel: int = 1000,
         if steps >= fuel:
             raise FuelExhausted(
                 f"proof still has cuts after {steps} reductions", steps=steps)
-        proof = reduce_cut(theory, proof, _post_order_first(cuts),
-                           congruence_fuel)
+        # the leftmost-innermost cut, first in post-order: a path sorts
+        # after its descendants once it ends in infinity
+        first = min((path for path, _, _ in cuts), key=lambda p: (*p, inf))
+        proof = reduce_cut(theory, proof, first, congruence_fuel)
         steps += 1
 
 

@@ -25,8 +25,8 @@ from .kernel import Proof, Sequent
 from .rewriting import RewriteRule, RewriteSystem
 from .syntax import (
     And, App, Atom, BOT, Exists, ForAll, Imp, Node, Or, Proposition,
-    Signature, TOP, Term, Var, make_signature, print_prop, print_term,
-    term_sort, wellformed,
+    Signature, TOP, Term, Var, make_signature, print_node, print_prop,
+    print_term, term_sort,
 )
 from .theories import Theory
 
@@ -493,7 +493,6 @@ def print_theory(t: Theory) -> str:
 
 
 def _print_side(x: Node) -> str:
-    from .syntax import is_term, print_node
     if isinstance(x, Var):
         return f"{x.name}:{x.sort}"
     return print_node(x)

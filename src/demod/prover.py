@@ -10,7 +10,7 @@ a bound is decidable; exploration is leftmost-first and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import FuelExhausted, TheoryError
@@ -21,8 +21,7 @@ from .kernel import (
 from .rewriting import DEFAULT_FUEL, check_nonconfusing
 from .syntax import (
     And, Atom, BOT, Bottom, Exists, ForAll, Imp, Or, Proposition, Subst,
-    Top, Var, alpha_eq, alpha_key, apply_subst, compose, free_vars,
-    print_prop, wellformed,
+    Top, Var, alpha_key, apply_subst, compose, free_vars, wellformed,
 )
 from .theories import Theory
 from .unification import UnificationProblem, narrow_unify

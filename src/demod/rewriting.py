@@ -10,14 +10,14 @@ rewriting lets that atom sit anywhere inside a proposition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_not
 from typing import Optional
 
 from .errors import FuelExhausted, RuleError
 from .syntax import (
-    App, Atom, BINARY, Bottom, Exists, ForAll, Hole, Node, Position,
-    Proposition, QUANT, Subst, Term, Top, Var, alpha_eq, alpha_key,
-    apply_subst, children, free_vars, fresh_var, is_term, positions,
-    print_node, replace_at, with_children,
+    App, Atom, BINARY, Bottom, ForAll, Hole, Node, Position, Subst, Top, Var,
+    alpha_eq, alpha_key, apply_subst, children, free_vars, fresh_var,
+    is_term, positions, print_node, replace_at, subterm_at, with_children,
 )
 
 DEFAULT_FUEL = 10000
@@ -115,14 +115,19 @@ def _match(p: Node, t: Node, s: Subst) -> bool:
         s[p] = t
         return True
     if isinstance(p, App):
-        return (isinstance(t, App) and p.fn == t.fn
-                and len(p.args) == len(t.args)
-                and all(_match(a, b, s) for a, b in zip(p.args, t.args)))
-    if isinstance(p, Atom):
-        return (isinstance(t, Atom) and p.pred == t.pred
-                and len(p.args) == len(t.args)
-                and all(_match(a, b, s) for a, b in zip(p.args, t.args)))
-    return False  # holes and non-atomic propositions never occur in patterns
+        if not isinstance(t, App) or p.fn != t.fn:
+            return False
+    elif isinstance(p, Atom):
+        if not isinstance(t, Atom) or p.pred != t.pred:
+            return False
+    else:
+        return False  # holes and non-atomic propositions never occur here
+    if len(p.args) != len(t.args):
+        return False
+    for a, b in zip(p.args, t.args):
+        if not _match(a, b, s):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +136,12 @@ def _match(p: Node, t: Node, s: Subst) -> bool:
 
 def _step_at(rs: RewriteSystem, node: Node):
     """First rule rewriting `node` at its root, as (rule, reduct) or None."""
-    if isinstance(node, (App,)):
-        for r in rs.term_rules:
-            s = match_pattern(r.lhs, node)
-            if s is not None:
-                return r, apply_subst(s, r.rhs)
-    elif isinstance(node, Atom):
-        for r in rs.prop_rules:
-            s = match_pattern(r.lhs, node)
-            if s is not None:
-                return r, apply_subst(s, r.rhs)
+    rules = (rs.term_rules if isinstance(node, App)
+             else rs.prop_rules if isinstance(node, Atom) else ())
+    for r in rules:
+        s = match_pattern(r.lhs, node)
+        if s is not None:
+            return r, apply_subst(s, r.rhs)
     return None
 
 
@@ -150,30 +151,13 @@ def rewrite_positions(rs: RewriteSystem, x: Node):
     input); empty iff x is in normal form."""
     out = []
     for pos, node in positions(x):
-        if isinstance(node, App):
-            rules = rs.term_rules
-        elif isinstance(node, Atom):
-            rules = rs.prop_rules
-        else:
-            continue
+        rules = (rs.term_rules if isinstance(node, App)
+                 else rs.prop_rules if isinstance(node, Atom) else ())
         for r in rules:
             s = match_pattern(r.lhs, node)
             if s is not None:
                 out.append((pos, r.name, replace_at(x, pos, apply_subst(s, r.rhs))))
     return out
-
-
-def _innermost_redex(rs: RewriteSystem, x: Node, pos: Position = ()):
-    """Leftmost-innermost redex as (position, rule, reduct-at-position)."""
-    for i, c in enumerate(children(x)):
-        found = _innermost_redex(rs, c, pos + (i,))
-        if found is not None:
-            return found
-    hit = _step_at(rs, x)
-    if hit is not None:
-        rule, reduct = hit
-        return pos, rule, reduct
-    return None
 
 
 @dataclass(frozen=True)
@@ -193,26 +177,84 @@ def normalize(rs: RewriteSystem, x: Node, fuel: int = DEFAULT_FUEL,
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
+    if strategy == "innermost":
+        return _innermost(rs, x, fuel)
+    if strategy != "random":
+        raise ValueError(f"unknown strategy {strategy!r}")
     steps = 0
     while True:
-        if strategy == "innermost":
-            found = _innermost_redex(rs, x)
-            if found is None:
-                return NormalForm(x, steps)
-            pos, _, reduct = found
-            x = replace_at(x, pos, reduct)
-        elif strategy == "random":
-            redexes = rewrite_positions(rs, x)
-            if not redexes:
-                return NormalForm(x, steps)
-            _, _, x = rng.choice(redexes)
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
+        redexes = rewrite_positions(rs, x)
+        if not redexes:
+            return NormalForm(x, steps)
+        _, _, x = rng.choice(redexes)
         steps += 1
         if steps > fuel:
-            raise FuelExhausted(
-                f"no normal form of {print_node(x)} within {fuel} steps",
-                steps=steps)
+            _out_of_fuel(x, fuel)
+
+
+def _out_of_fuel(x: Node, fuel: int):
+    raise FuelExhausted(f"no normal form of {print_node(x)} within {fuel} "
+                        "steps", steps=fuel + 1)
+
+
+class _Unwind(Exception):
+    """Carries the whole term out of ``_innermost`` when fuel runs out."""
+
+
+def _innermost(rs: RewriteSystem, x: Node, fuel: int) -> NormalForm:
+    """Leftmost-innermost normalization in one bottom-up pass, one Python
+    frame per term level: the children, left to right, then the root; a
+    root step goes on with the rule's rhs under the match, whose bound
+    subterms are normal and not visited again.  A node whose children
+    come back unchanged is returned as the same object."""
+    by_head: dict = {}   # rules by lhs head symbol, in order
+    for rule in rs.rules:
+        head = rule.lhs.fn if isinstance(rule.lhs, App) else rule.lhs.pred
+        by_head.setdefault(head, []).append(rule)
+    left = [fuel]   # steps still allowed
+    try:
+        return NormalForm(_nf(x, None, by_head, left), fuel - left[0])
+    except _Unwind as e:
+        _out_of_fuel(e.args[0], fuel)
+
+
+def _nf(pattern: Node, s: Optional[Subst], by_head: dict, left: list) -> Node:
+    """The normal form of ``pattern`` under ``s`` (None: a plain term)."""
+    while True:
+        kids = children(pattern)
+        done = []
+        try:
+            for k in kids:
+                if isinstance(k, Var):
+                    done.append(k if s is None else s[k])
+                else:
+                    done.append(_nf(k, s, by_head, left))
+        except _Unwind as e:
+            rest = kids[len(done) + 1:]
+            if s is not None:
+                rest = tuple(apply_subst(s, k) for k in rest)
+            e.args = (with_children(pattern, (*done, *e.args, *rest)),)
+            raise
+        node = pattern
+        if s is not None or done and any(map(is_not, done, kids)):
+            node = with_children(pattern, tuple(done))
+        head = (node.fn if isinstance(node, App)
+                else node.pred if isinstance(node, Atom) else None)
+        for rule in by_head.get(head, ()):
+            match = match_pattern(rule.lhs, node)
+            if match is not None:
+                break
+        else:
+            return node
+        left[0] -= 1
+        rhs = rule.rhs
+        if left[0] < 0:
+            raise _Unwind(apply_subst(match, rhs))
+        if isinstance(rhs, Var):
+            return match[rhs]
+        pattern, s = rhs, match
+        if not isinstance(rhs, (App, Atom)):
+            pattern, s = apply_subst(match, rhs), None
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +373,7 @@ def critical_pairs(rs: RewriteSystem) -> list[CriticalPair]:
             else:
                 continue  # proposition lhs never occurs inside a term
             for pos in spots:
-                sub = subterm_at_node(outer.lhs, pos)
+                sub = subterm_at(outer.lhs, pos)
                 mgu = unify_syntactic(sub, inner.lhs)
                 if mgu is None:
                     continue
@@ -344,12 +386,6 @@ def critical_pairs(rs: RewriteSystem) -> list[CriticalPair]:
                 out.append(CriticalPair(peak, left, right, pos,
                                         inner_orig.name, outer.name))
     return out
-
-
-def subterm_at_node(x: Node, pos: Position) -> Node:
-    for i in pos:
-        x = children(x)[i]
-    return x
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ Negation is not primitive: write ``Imp(a, BOT)``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .errors import SortError
@@ -247,9 +247,10 @@ def positions(x: Node) -> Iterator[tuple[Position, Node]]:
     """All positions, outermost first, left to right."""
     stack = [((), x)]
     while stack:
-        pos, node = stack.pop(0)
+        pos, node = stack.pop()
         yield pos, node
-        stack[0:0] = [(pos + (i,), c) for i, c in enumerate(children(node))]
+        stack.extend(reversed([(pos + (i,), c)
+                               for i, c in enumerate(children(node))]))
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +313,25 @@ def apply_subst(s: Subst, x: Node, sig: Optional[Signature] = None) -> Node:
 def _subst(s: Subst, x: Node) -> Node:
     if isinstance(x, Var):
         return s.get(x, x)
-    if isinstance(x, Hole):
-        return x
+    if isinstance(x, App):
+        args = []
+        changed = False
+        for a in x.args:
+            b = _subst(s, a)
+            args.append(b)
+            changed = changed or b is not a
+        return App(x.fn, tuple(args)) if changed else x
     if isinstance(x, QUANT):
         v, body = x.var, x.body
-        live = {u: t for u, t in s.items() if u != v and u in free_vars(body)}
+        body_vars = free_vars(body)
+        live = {u: t for u, t in s.items() if u != v and u in body_vars}
         if not live:
             return x
         inserted: set[str] = set()
         for t in live.values():
             inserted |= {w.name for w in free_vars(t)}
         if v.name in inserted:
-            avoid = inserted | {w.name for w in free_vars(body)}
+            avoid = inserted | {w.name for w in body_vars}
             v2 = fresh_var(v, avoid)
             body = _subst({v: v2}, body)
             v = v2
@@ -331,7 +339,10 @@ def _subst(s: Subst, x: Node) -> Node:
     kids = children(x)
     if not kids:
         return x
-    return with_children(x, tuple(_subst(s, c) for c in kids))
+    new = []
+    for c in kids:
+        new.append(_subst(s, c))
+    return with_children(x, tuple(new))
 
 
 def compose(s1: Subst, s2: Subst) -> Subst:

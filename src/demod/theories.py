@@ -9,17 +9,17 @@ assertion).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FuelExhausted, TheoryError
 from .rewriting import (
-    DEFAULT_FUEL, ConfluenceReport, RewriteRule, RewriteSystem,
+    DEFAULT_FUEL, RewriteRule, RewriteSystem,
     check_local_confluence, check_nonconfusing, check_termination_lpo,
     congruent, critical_pairs, normalize, rewrite_positions,
 )
 from .syntax import (
-    And, App, Atom, Exists, ForAll, Hole, Imp, Node, Or, Proposition,
+    And, App, Atom, ForAll, Hole, Imp, Node, Proposition,
     QUANT, Signature, Var, alpha_key, apply_subst, children, is_term,
     make_signature, print_node, wellformed,
 )
@@ -76,10 +76,7 @@ def validate_theory(theory: Theory, fuel: int = DEFAULT_FUEL) -> ValidationRepor
     nonconf = check_nonconfusing(rs)
     cps = critical_pairs(rs)
     conf_report = check_local_confluence(rs, fuel)
-    if conf_report.unknown:
-        confluent: Optional[bool] = None
-    else:
-        confluent = conf_report.locally_confluent
+    confluent = None if conf_report.unknown else conf_report.locally_confluent
     if rs.termination_method == "user-asserted":
         termination = "user-asserted"
     elif check_termination_lpo(rs, theory.default_precedence()):

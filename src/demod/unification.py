@@ -8,15 +8,15 @@ problems with infinitely many unifiers are still found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FuelExhausted
 from .rewriting import RewriteSystem, congruent, normalize, _rename_apart
 from .syntax import (
-    App, Atom, Hole, Node, Subst, Term, Var, alpha_key, apply_subst,
-    children, compose, free_vars, fresh_var, is_term, positions,
-    print_node, replace_at,
+    App, Atom, Hole, Node, Subst, Var, alpha_key, apply_subst,
+    compose, free_vars, is_term, positions, replace_at,
 )
 
 
@@ -25,37 +25,48 @@ from .syntax import (
 
 
 def unify_pairs(pairs) -> Optional[Subst]:
+    """Most general unifier of all pairs, or None.  The worklist is a
+    stack; ``s`` stays idempotent, a side is looked up in it at its root
+    and substituted in full only when it is bound."""
     s: Subst = {}
-    work = list(pairs)
+    work = list(pairs)[::-1]
     while work:
-        l, r = work.pop(0)
-        l = apply_subst(s, l)
-        r = apply_subst(s, r)
-        if l == r:
-            continue
-        if isinstance(l, Var) or isinstance(r, Var):
-            if not isinstance(l, Var):
-                l, r = r, l
-            if not is_term(r):
+        l, r = work.pop()
+        if isinstance(l, Var):
+            l = s.get(l, l)
+        if isinstance(r, Var):
+            r = s.get(r, r)
+        if isinstance(r, Var) and not isinstance(l, Var):
+            l, r = r, l
+        if isinstance(l, Var):
+            if l == r:
+                continue
+            if not is_term(r) or isinstance(r, Var) and r.sort != l.sort:
                 return None
-            if isinstance(r, Var) and r.sort != l.sort:
+            r = apply_subst(s, r)
+            if _occurs(l, r):
                 return None
-            if l in free_vars(r):
-                return None  # occurs check
-            s = compose(s, {l: r})
-            continue
-        if isinstance(l, App) and isinstance(r, App):
-            if l.fn != r.fn or len(l.args) != len(r.args):
-                return None
-            work[0:0] = list(zip(l.args, r.args))
-            continue
-        if isinstance(l, Atom) and isinstance(r, Atom):
-            if l.pred != r.pred or len(l.args) != len(r.args):
-                return None
-            work[0:0] = list(zip(l.args, r.args))
-            continue
-        return None  # holes or mismatched kinds
+            for v, t in s.items():
+                s[v] = apply_subst({l: r}, t)
+            s[l] = r
+        elif (isinstance(l, App) and isinstance(r, App) and l.fn == r.fn
+              or isinstance(l, Atom) and isinstance(r, Atom)
+              and l.pred == r.pred) and len(l.args) == len(r.args):
+            work.extend(zip(reversed(l.args), reversed(r.args)))
+        elif l != r:
+            return None  # clashes, holes or mismatched kinds
     return s
+
+
+def _occurs(v: Var, t: Node) -> bool:
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, App):
+            todo.extend(x.args)
+        elif x == v:
+            return True
+    return False
 
 
 def unify_syntactic(a: Node, b: Node) -> Optional[Subst]:
@@ -107,31 +118,32 @@ class SolutionStream:
 
 def _variant_key(nodes) -> str:
     """Canonical key identifying states and solutions up to renaming of
-    free variables (first-occurrence numbering)."""
+    free variables (first-occurrence numbering).  The walk is not nested:
+    a nested recursive function leaves a reference cycle per call."""
     names: dict[Var, str] = {}
     out: list[str] = []
-
-    def walk(x: Node):
-        if isinstance(x, Var):
-            if x not in names:
-                names[x] = f"v{len(names)}:{x.sort}"
-            out.append(names[x])
-        elif isinstance(x, Hole):
-            out.append(f"_:{x.sort}")
-        elif isinstance(x, (App, Atom)):
-            head = x.fn if isinstance(x, App) else x.pred
-            out.append(f"({head}")
-            for a in x.args:
-                out.append(" ")
-                walk(a)
-            out.append(")")
-        else:
-            out.append(alpha_key(x))
-
     for n in nodes:
-        walk(n)
+        _key_walk(n, names, out)
         out.append(";")
     return "".join(out)
+
+
+def _key_walk(x: Node, names: dict, out: list) -> None:
+    if isinstance(x, Var):
+        if x not in names:
+            names[x] = f"v{len(names)}:{x.sort}"
+        out.append(names[x])
+    elif isinstance(x, Hole):
+        out.append(f"_:{x.sort}")
+    elif isinstance(x, (App, Atom)):
+        head = x.fn if isinstance(x, App) else x.pred
+        out.append(f"({head}")
+        for a in x.args:
+            out.append(" ")
+            _key_walk(a, names, out)
+        out.append(")")
+    else:
+        out.append(alpha_key(x))
 
 
 def _norm(rs: RewriteSystem, t: Node, fuel: int) -> Node:
@@ -146,7 +158,10 @@ def narrow_unify(problem: UnificationProblem, depth: int = 8,
 
     Every emitted substitution is verified against the congruence before
     emission; duplicates modulo variable renaming are removed.  Bound
-    overruns are flagged in the stream, never silent."""
+    overruns are flagged in the stream, never silent.  Once per expanded
+    state, its pairs are unified and the rules renamed apart from its
+    variables.  A state keeps the bindings of the problem's variables
+    only: nothing else reaches its key or a solution."""
     if depth <= 0 or cap <= 0:
         raise ValueError("bounds must be positive")
     rs = problem.system
@@ -161,20 +176,23 @@ def narrow_unify(problem: UnificationProblem, depth: int = 8,
         nodes += [acc.get(v, v) for v in ordered_vars]
         return _variant_key(nodes)
 
+    def restrict(s):
+        return {v: t for v, t in s.items() if v in problem_vars}
+
     start = tuple((_norm(rs, l, fuel), _norm(rs, r, fuel))
                   for l, r in problem.pairs)
-    queue: list[tuple[tuple, Subst, int]] = [(start, {}, 0)]
+    queue: deque[tuple[tuple, Subst, int]] = deque([(start, {}, 0)])
     seen_states = {state_key(start, {})}
     solutions: list[Subst] = []
     seen_solutions: set[str] = set()
     complete = True
+    rules = rs.term_rules
 
     while queue:
-        pairs, acc, d = queue.pop(0)
+        pairs, acc, d = queue.popleft()
         mgu = unify_pairs(pairs)
         if mgu is not None:
-            sol = compose(acc, mgu)
-            sol = {v: t for v, t in sol.items() if v in problem_vars}
+            sol = restrict(compose(acc, mgu))
             key = _variant_key([sol.get(v, v) for v in ordered_vars])
             if key not in seen_solutions and _verified(problem, sol, fuel):
                 seen_solutions.add(key)
@@ -182,17 +200,24 @@ def narrow_unify(problem: UnificationProblem, depth: int = 8,
                 if len(solutions) >= cap:
                     complete = False
                     break
-        # expand: one narrowing step at any non-variable position
-        steps = _narrowing_steps(rs, pairs)
+        # expand: one narrowing step at any non-variable position; a
+        # state at the depth bound only needs to know that it has one
+        sides = [(t, free_vars(t)) for pair in pairs for t in pair]
+        steps = _narrowing_steps(rules, sides)
         if not steps:
             continue
         if d >= depth:
             complete = False
             continue
-        for new_pairs, u in steps:
-            normed = tuple((_norm(rs, l, fuel), _norm(rs, r, fuel))
-                           for l, r in new_pairs)
-            acc2 = compose(acc, u)
+        for k, pos, rhs, u in steps:
+            # side k narrowed, every side instantiated; a side with no
+            # variable that u binds is kept as it is
+            new = [t if j == k or vs.isdisjoint(u) else apply_subst(u, t)
+                   for j, (t, vs) in enumerate(sides)]
+            new[k] = apply_subst(u, replace_at(sides[k][0], pos, rhs))
+            new = [_norm(rs, t, fuel) for t in new]
+            normed = tuple(zip(new[0::2], new[1::2]))
+            acc2 = restrict(compose(acc, u))
             key = state_key(normed, acc2)
             if key in seen_states:
                 continue
@@ -201,37 +226,20 @@ def narrow_unify(problem: UnificationProblem, depth: int = 8,
     return SolutionStream(tuple(solutions), complete)
 
 
-def _narrowing_steps(rs: RewriteSystem, pairs):
-    """All one-step narrowings of the pair list: unify a rule lhs with a
-    non-variable subterm, instantiate everything, replace by the rhs."""
+def _narrowing_steps(rules, sides):
+    """Every way to unify a rule lhs with a non-variable subterm of a
+    side: (side index, position, renamed rhs, unifier).  ``sides`` are
+    the terms of the pair list, each with its free variables."""
+    avoid = {v.name for _, vs in sides for v in vs}
+    renamed = [_rename_apart(rule, avoid) for rule in rules]
     out = []
-    state_vars = set()
-    for l, r in pairs:
-        state_vars |= free_vars(l) | free_vars(r)
-    avoid = {v.name for v in state_vars}
-    for i, (l, r) in enumerate(pairs):
-        for side in (0, 1):
-            tree = (l, r)[side]
-            for pos, node in positions(tree):
-                if not isinstance(node, App):
-                    continue
-                for rule in rs.term_rules:
-                    ren = _rename_apart(rule, avoid)
+    for k, (tree, _) in enumerate(sides):
+        for pos, node in positions(tree):
+            if isinstance(node, App):
+                for ren in renamed:
                     u = unify_syntactic(node, ren.lhs)
-                    if u is None:
-                        continue
-                    new_tree = apply_subst(
-                        u, replace_at(tree, pos, ren.rhs))
-                    new_pairs = []
-                    for j, (pl, pr) in enumerate(pairs):
-                        if j == i:
-                            nl = new_tree if side == 0 else apply_subst(u, pl)
-                            nr = new_tree if side == 1 else apply_subst(u, pr)
-                            new_pairs.append((nl, nr))
-                        else:
-                            new_pairs.append(
-                                (apply_subst(u, pl), apply_subst(u, pr)))
-                    out.append((tuple(new_pairs), u))
+                    if u is not None:
+                        out.append((k, pos, ren.rhs, u))
     return out
 
 

@@ -153,3 +153,28 @@ class TestErrors:
     def test_missing_file(self, run):
         code, out, err = run("validate", "no_such_file.thy")
         assert code == 2
+
+    def test_crash_exits_2(self, run, monkeypatch):
+        # an unexpected exception is an error, never a definite "no"
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+        monkeypatch.setattr("demod.cli.normalize", crash)
+        code, out, err = run("normalize", "builtin:addition", "0")
+        assert code == 2
+        assert verdict(out) == "error"
+        assert err == "error: boom\n"
+
+    def test_deep_sum_never_exits_1(self, run):
+        # S^400(0)+S^400(0) is deeper than the recursion limit allows
+        # today; whatever breaks, the answer is the sum or an error
+        n = "0"
+        for _ in range(400):
+            n = f"(S {n})"
+        code, out, err = run("normalize", "builtin:addition",
+                             f"(plus {n} {n})")
+        if code == 2:
+            assert verdict(out) == "error"
+            assert err.startswith("error: ")
+        else:
+            assert code == 0
+            assert out.count("(S ") == 800

@@ -1,0 +1,247 @@
+"""demod against the frozen reference copy in ``perfbench/refdemod``.
+
+The reference is the engine as it was before narrowing, unification and
+innermost normalization were rewritten for speed.  On random problems
+both must give the same printed answers, in the same order.  The
+reference is only imported, never changed.
+"""
+
+import itertools
+import os
+import random
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import demod
+from demod import (
+    App, Atom, FuelExhausted, UnificationProblem, Var, load_builtin,
+    narrow_unify, normalize, unify_syntactic,
+)
+from demod.syntax import children, positions
+
+from conftest import random_prop, random_term
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+import refdemod  # noqa: E402
+from refdemod.syntax import positions as ref_positions  # noqa: E402
+
+
+def to_ref(x):
+    """The same node built from refdemod's classes."""
+    if isinstance(x, Var):
+        return refdemod.Var(x.name, x.sort)
+    if isinstance(x, (App, Atom)):
+        head = x.fn if isinstance(x, App) else x.pred
+        cls = getattr(refdemod, type(x).__name__)
+        return cls(head, tuple(to_ref(a) for a in x.args))
+    if isinstance(x, (demod.ForAll, demod.Exists)):
+        cls = getattr(refdemod, type(x).__name__)
+        return cls(to_ref(x.var), to_ref(x.body))
+    if isinstance(x, (demod.And, demod.Or, demod.Imp)):
+        cls = getattr(refdemod, type(x).__name__)
+        return cls(to_ref(x.left), to_ref(x.right))
+    if isinstance(x, demod.Hole):
+        return refdemod.Hole(x.sort)
+    return refdemod.TOP if isinstance(x, demod.Top) else refdemod.BOT
+
+
+def printed(sol):
+    """A substitution as an ordered list of printed bindings."""
+    if sol is None:
+        return None
+    return [(repr(v), repr(t)) for v, t in sol.items()]
+
+
+def ref_theory(name):
+    return refdemod.load_builtin(name)
+
+
+# ---------------------------------------------------------------------------
+# Syntactic unification: the identical mgu, bindings in the same order
+
+NAT_VARS = [Var(n, "nat") for n in ("x", "y", "z")]
+LEAVES = st.sampled_from([App("0"), *NAT_VARS, Var("w", "elem")])
+TERMS = st.recursive(
+    LEAVES,
+    lambda kids: st.builds(lambda a: App("S", (a,)), kids)
+    | st.builds(lambda a, b: App("plus", (a, b)), kids, kids),
+    max_leaves=8)
+SHALLOW = [App("0"), Var("w", "elem"), *NAT_VARS,
+           *(App("S", (v,)) for v in NAT_VARS)]
+
+
+@given(TERMS, TERMS)
+@settings(max_examples=300, deadline=None)
+def test_unify_syntactic_matches_reference(a, b):
+    # shared variables give occurs-check failures, w:elem sort clashes
+    got = unify_syntactic(a, b)
+    want = refdemod.unify_syntactic(to_ref(a), to_ref(b))
+    assert printed(got) == printed(want)
+
+
+@given(TERMS, TERMS, TERMS, TERMS)
+@settings(max_examples=100, deadline=None)
+def test_unify_atom_pairs_matches_reference(a, b, c, d):
+    got = unify_syntactic(Atom("P", (a, b)), Atom("P", (c, d)))
+    want = refdemod.unify_syntactic(refdemod.Atom("P", (to_ref(a), to_ref(b))),
+                                    refdemod.Atom("P", (to_ref(c), to_ref(d))))
+    assert printed(got) == printed(want)
+
+
+def test_unify_all_small_argument_lists_match_reference():
+    # every pair of two-argument lists over a small alphabet: the second
+    # pair often meets a variable the first one bound
+    for left in itertools.product(SHALLOW, repeat=2):
+        for right in itertools.product(SHALLOW, repeat=2):
+            a, b = App("g", left), App("g", right)
+            assert printed(unify_syntactic(a, b)) \
+                == printed(refdemod.unify_syntactic(to_ref(a), to_ref(b)))
+
+
+def test_unify_hand_picked_cases_match_reference():
+    x, y, z = (Var(n, "nat") for n in "xyz")
+    w = Var("w", "elem")
+    s = lambda t: App("S", (t,))
+    cases = [
+        (x, s(x)),                                     # occurs check
+        (x, w),                                        # sort clash
+        (App("0"), s(x)),                              # symbol clash
+        # y is bound when the second pair meets it: orientation matters
+        (App("plus", (s(x), s(z))), App("plus", (y, y))),
+        (App("plus", (y, y)), App("plus", (s(x), s(z)))),
+    ]
+    for a, b in cases:
+        assert printed(unify_syntactic(a, b)) \
+            == printed(refdemod.unify_syntactic(to_ref(a), to_ref(b)))
+
+
+# ---------------------------------------------------------------------------
+# Narrowing: the same solutions, in the same order, and the same flag
+
+
+def _narrow_both(name, a, b, depth, cap=4):
+    theory, ref = load_builtin(name), ref_theory(name)
+    got = narrow_unify(UnificationProblem.of([(a, b)], theory.system),
+                       depth=depth, cap=cap)
+    want = refdemod.narrow_unify(
+        refdemod.UnificationProblem.of([(to_ref(a), to_ref(b))], ref.system),
+        depth=depth, cap=cap)
+    return got, want
+
+
+@pytest.mark.parametrize("name,sort", [("addition", "nat"),
+                                       ("assoc", "elem")])
+@given(seed=st.integers(0, 10**6), depth=st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_narrow_unify_matches_reference(name, sort, seed, depth):
+    rng = random.Random(seed)
+    sig = load_builtin(name).signature
+    pool = tuple(Var(n, sort) for n in ("x", "y", "z"))
+    a = random_term(rng, sig, sort, rng.randrange(1, 4), pool)
+    b = random_term(rng, sig, sort, rng.randrange(1, 4), pool)
+    got, want = _narrow_both(name, a, b, depth)
+    assert [printed(s) for s in got.solutions] \
+        == [printed(s) for s in want.solutions]
+    assert got.complete == want.complete
+
+
+@pytest.mark.parametrize("name,left,right,depth", [
+    ("assoc", "(plus a x:elem)", "(plus (plus a b) c)", 4),
+    # both sides share a variable that a narrowing step binds
+    ("addition", "(plus x:nat z:nat)", "x:nat", 1),
+    ("addition", "(S x:nat)", "(plus x:nat z:nat)", 4),
+])
+def test_narrowing_goldens_match_reference(name, left, right, depth):
+    sig = load_builtin(name).signature
+    a = demod.parsing.parse_term(left, sig)
+    b = demod.parsing.parse_term(right, sig)
+    got, want = _narrow_both(name, a, b, depth=depth, cap=16)
+    assert [printed(s) for s in got.solutions] \
+        == [printed(s) for s in want.solutions]
+    assert got.complete == want.complete
+
+
+# ---------------------------------------------------------------------------
+# Positions and innermost normalization
+
+
+def recursive_positions(x, pos=()):
+    yield pos, x
+    for i, c in enumerate(children(x)):
+        yield from recursive_positions(c, pos + (i,))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_positions_is_recursive_preorder(seed):
+    rng = random.Random(seed)
+    sig = load_builtin("addition").signature
+    p = random_prop(rng, sig, 4)
+    assert list(positions(p)) == list(recursive_positions(p))
+    assert [q for q, _ in positions(p)] \
+        == [q for q, _ in ref_positions(to_ref(p))]
+
+
+def _normal_form_or_message(norm, rs, x, fuel):
+    try:
+        nf = norm(rs, x, fuel)
+    except Exception as e:   # FuelExhausted of either package
+        assert type(e).__name__ == "FuelExhausted"
+        return "fuel", str(e), e.steps
+    return repr(nf.value), nf.steps
+
+
+@pytest.mark.parametrize("name", ["addition", "assoc", "def-conj",
+                                  "powerset", "p0-forall", "pf-collapse",
+                                  "crabbe", "comm"])
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_normalize_matches_reference(name, seed):
+    rng = random.Random(seed)
+    theory, ref = load_builtin(name), ref_theory(name)
+    sig = theory.signature
+    sort = sorted(sig.sorts)[0] if sig.sorts else None
+    pool = tuple(Var(n, s) for n in ("x", "y") for s in sorted(sig.sorts))
+    if sort is not None and rng.random() < 0.4:
+        x = random_term(rng, sig, sort, rng.randrange(4), pool)
+    else:
+        x = random_prop(rng, sig, rng.randrange(4), pool)
+    fuel = rng.choice([1, 3, 20, 200])
+    got = _normal_form_or_message(normalize, theory.system, x, fuel)
+    want = _normal_form_or_message(refdemod.normalize, ref.system,
+                                   to_ref(x), fuel)
+    assert got == want
+
+
+def test_normalize_returns_same_object_when_normal(addition):
+    t = App("S", (App("plus", (Var("x", "nat"), App("0"))),))
+    assert normalize(addition.system, t).value is t
+
+
+@pytest.mark.parametrize("name,text", [
+    ("comm", "(plus (plus a b) (plus c a))"),
+    # the reduct (plus (plus x y) z) runs dry inside (plus x y): the
+    # message shows z instantiated
+    ("assoc", "(plus a (plus (plus b c) (plus d e)))"),
+    ("addition", "(plus (S (S 0)) (plus (S 0) (S 0)))"),
+])
+@pytest.mark.parametrize("fuel", [1, 2, 3, 7])
+def test_fuel_message_matches_reference(name, text, fuel):
+    theory, ref = load_builtin(name), ref_theory(name)
+    t = demod.parsing.parse_term(text, theory.signature)
+    got = _normal_form_or_message(normalize, theory.system, t, fuel)
+    want = _normal_form_or_message(refdemod.normalize, ref.system,
+                                   to_ref(t), fuel)
+    assert got == want
+
+
+def test_deep_sum_normalizes_in_steps(addition):
+    # S^k(0)+S^k(0) takes k+1 steps; the bottom-up pass has no rescans
+    k = 300
+    n = App("0")
+    for _ in range(k):
+        n = App("S", (n,))
+    nf = normalize(addition.system, App("plus", (n, n)))
+    assert nf.steps == k + 1
