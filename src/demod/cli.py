@@ -23,7 +23,7 @@ from .prover import consistency_probe, search_proof
 from .rewriting import DEFAULT_FUEL, congruent_detail, normalize
 from .syntax import print_node
 from .theories import (
-    BUILTIN_NAMES, Theory, load_builtin, subformula_closure, validate_theory,
+    BUILTIN_NAMES, Theory, load_builtin, subformula_closure,
 )
 
 EXIT_YES, EXIT_NO, EXIT_ERROR = 0, 1, 2
@@ -33,10 +33,7 @@ def _load_theory(spec: str) -> Theory:
     if spec.startswith("builtin:"):
         return load_builtin(spec[len("builtin:"):])
     with open(spec) as f:
-        text = f.read()
-    t = parse_theory(text, name=spec)
-    validate_theory(t)
-    return t
+        return parse_theory(f.read(), name=spec)
 
 
 def _read(path: str) -> str:
@@ -132,10 +129,10 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_cuts(args) -> int:
-    theory, _, result = _checked(args)
+    result = _checked(args)[2]
     if not result.ok:
         return _invalid(result)
-    report = find_cuts(theory, result.proof, fuel=args.fuel)
+    report = find_cuts(result.proof)
     lines = [f"cut at {list(path)}: {intro}/{elim}"
              for path, intro, elim in report.cuts]
     lines.append(f"cuts: {len(report.cuts)}")
@@ -157,8 +154,7 @@ def _cmd_eliminate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    theory = _load_theory(args.theory)
-    report = theory.report or validate_theory(theory, fuel=args.fuel)
+    report = _load_theory(args.theory).report
     ok = (report.lhs_shapes_ok and report.nonconfusing
           and report.locally_confluent is not False)
     return _verdict("ok" if ok else "invalid", report.lines())

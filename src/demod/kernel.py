@@ -19,8 +19,7 @@ from typing import Optional
 
 from .errors import FuelExhausted, ProofError, RuleError
 from .rewriting import (
-    DEFAULT_FUEL, RewriteRule, RewriteSystem, _step_at, check_nonconfusing,
-    congruent, normalize,
+    DEFAULT_FUEL, RewriteRule, RewriteSystem, _step_at, congruent, normalize,
 )
 from .syntax import (
     And, Atom, BOT, Exists, ForAll, Imp, Or, Position, Proposition, Subst,
@@ -173,8 +172,7 @@ def check_proof(theory, proof: Proof, goal: Sequent,
     """
     if proof is None:
         raise ProofError("no proof given")
-    rs = theory.system
-    if not check_nonconfusing(rs):
+    if not theory.report.nonconfusing:
         raise RuleError("theory's rewrite system is not non-confusing")
     sig = theory.signature
     for _, h in goal.context:
@@ -184,7 +182,7 @@ def check_proof(theory, proof: Proof, goal: Sequent,
     r = wellformed(sig, goal.conclusion)
     if not r:
         raise ProofError(f"ill-formed goal: {r.message}")
-    session = _Session(rs, fuel)
+    session = _Session(theory.system, fuel)
     ctx = dict(goal.context)
     try:
         annotated = _check(session, ctx, proof, goal.conclusion, ())
@@ -350,23 +348,23 @@ def _eigen_fresh(ctx: dict, extra, y: Var, path: Position) -> None:
 # Cut detection
 
 
-def find_cuts(theory, proof: Proof, fuel: int = DEFAULT_FUEL) -> CutReport:
+def find_cuts(proof: Proof) -> CutReport:
     """Every elimination whose major premise is the matching introduction.
 
     Purely structural on a checked proof: the side conditions relating
     the cut formulas were already verified modulo the congruence."""
     cuts: list[tuple[Position, str, str]] = []
-
-    def walk(p: Proof, path: Position):
-        if p.tag in CUT_PAIRS and p.children:
-            major = p.children[0]
-            if major.tag in CUT_PAIRS[p.tag]:
-                cuts.append((path, major.tag, p.tag))
-        for i, c in enumerate(p.children):
-            walk(c, path + (i,))
-
-    walk(proof, ())
+    _collect_cuts(proof, (), cuts)
     return CutReport(tuple(cuts))
+
+
+def _collect_cuts(p: Proof, path: Position, cuts: list) -> None:
+    if p.tag in CUT_PAIRS and p.children:
+        major = p.children[0]
+        if major.tag in CUT_PAIRS[p.tag]:
+            cuts.append((path, major.tag, p.tag))
+    for i, c in enumerate(p.children):
+        _collect_cuts(c, path + (i,), cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -386,17 +384,17 @@ def _binders(p: Proof) -> tuple[str, ...]:
 
 def free_labels(p: Proof) -> frozenset[str]:
     out: set[str] = set()
-
-    def walk(q: Proof, bound: frozenset):
-        if q.tag == "axiom":
-            if q.label not in bound:
-                out.add(q.label)
-            return
-        for i, c in enumerate(q.children):
-            walk(c, bound | _child_bound(q, i))
-
-    walk(p, frozenset())
+    _collect_free_labels(p, frozenset(), out)
     return frozenset(out)
+
+
+def _collect_free_labels(q: Proof, bound: frozenset, out: set) -> None:
+    if q.tag == "axiom":
+        if q.label not in bound:
+            out.add(q.label)
+        return
+    for i, c in enumerate(q.children):
+        _collect_free_labels(c, bound | _child_bound(q, i), out)
 
 
 def _child_bound(q: Proof, i: int) -> frozenset:
@@ -423,24 +421,24 @@ def subst_hyp(p: Proof, label: str, repl: Proof) -> Proof:
     """Replace every use of hypothesis `label` by the derivation `repl`,
     stopping at shadowing binders and renaming binders that would
     capture a hypothesis free in `repl`."""
-    repl_free = free_labels(repl)
+    return _subst_hyp(p, label, repl, free_labels(repl))
 
-    def walk(q: Proof) -> Proof:
-        if q.tag == "axiom":
-            return repl if q.label == label else q
-        binds = {b for b in _binders(q) if b}
-        clash = binds & repl_free
-        if clash:
-            q = _rename_binders(q, clash)
-        kids = []
-        for i, c in enumerate(q.children):
-            if label in _child_bound(q, i):
-                kids.append(c)  # shadowed: leave untouched
-            else:
-                kids.append(walk(c))
-        return dc_replace(q, children=tuple(kids))
 
-    return walk(p)
+def _subst_hyp(q: Proof, label: str, repl: Proof,
+               repl_free: frozenset) -> Proof:
+    if q.tag == "axiom":
+        return repl if q.label == label else q
+    binds = {b for b in _binders(q) if b}
+    clash = binds & repl_free
+    if clash:
+        q = _rename_binders(q, clash)
+    kids = []
+    for i, c in enumerate(q.children):
+        if label in _child_bound(q, i):
+            kids.append(c)  # shadowed: leave untouched
+        else:
+            kids.append(_subst_hyp(c, label, repl, repl_free))
+    return dc_replace(q, children=tuple(kids))
 
 
 def _rename_binders(q: Proof, clash: set) -> Proof:
@@ -604,7 +602,7 @@ def normalize_proof(theory, proof: Proof, fuel: int = 1000,
                 raise ProofError(
                     f"proof no longer checks at {res.path}: {res.message}")
             proof = res.proof
-        cuts = find_cuts(theory, proof).cuts
+        cuts = find_cuts(proof).cuts
         if not cuts:
             return NormalizedProof(proof, steps)
         if steps >= fuel:

@@ -342,12 +342,12 @@ def parse_theory(text: str, name: str = "file") -> Theory:
     predicates: dict = {}
     rules: list[RewriteRule] = []
     asserted = False
-
-    def sig() -> Signature:
-        return make_signature(sorts, functions, predicates)
+    sig = None   # the signature declared so far, built at the next rule
 
     while not lx.at_end():
         _, word, line, col = lx.expect("id", "a declaration")
+        if word in ("sort", "func", "pred"):
+            sig = None
         if word == "sort":
             s = lx.expect("id", "a sort name")[1]
             sorts.append(s)
@@ -376,7 +376,9 @@ def parse_theory(text: str, name: str = "file") -> Theory:
         elif word == "rule":
             rname = lx.expect("id", "a rule name")[1]
             lx.expect("colon", "':'")
-            sub = _Parser("", sig())
+            if sig is None:
+                sig = make_signature(sorts, functions, predicates)
+            sub = _Parser("", sig)
             sub.lx = lx
             lhs = _rule_side(sub, None)
             lx.expect("rulearrow", "'~>'")
@@ -402,11 +404,10 @@ def parse_theory(text: str, name: str = "file") -> Theory:
             raise ParseError(f"unknown declaration {word!r}", line, col)
         lx.expect("dot", "'.'")
 
-    rs = RewriteSystem(rules)
-    if asserted:
-        rs.assert_terminating()
+    rs = RewriteSystem(rules, asserted_terminating=asserted)
     try:
-        return Theory(name, make_signature(sorts, functions, predicates), rs)
+        return Theory(name, sig or make_signature(sorts, functions, predicates),
+                      rs)
     except TheoryError as e:
         raise ParseError(str(e), 1, 1)
 
@@ -487,7 +488,7 @@ def print_theory(t: Theory) -> str:
     for r in t.system.rules:
         lines.append(f"rule {r.name}: {_print_side(r.lhs)} ~> "
                      f"{_print_side(r.rhs)}.")
-    if t.system.termination_method == "user-asserted":
+    if t.system.asserted_terminating:
         lines.append("assert terminating.")
     return "\n".join(lines) + "\n"
 

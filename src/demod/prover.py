@@ -18,7 +18,7 @@ from .kernel import (
     Proof, Sequent, _Session, check_proof, find_cuts, subst_hyp,
     subst_terms_in_proof,
 )
-from .rewriting import DEFAULT_FUEL, check_nonconfusing
+from .rewriting import DEFAULT_FUEL
 from .syntax import (
     And, Atom, BOT, Bottom, Exists, ForAll, Imp, Or, Proposition, Subst,
     Top, Var, alpha_key, apply_subst, compose, free_vars, wellformed,
@@ -282,21 +282,23 @@ def _resolve_metas(proof: Proof, s: Subst, counter: list) -> Proof:
     """Apply the final substitution, then replace any still-unconstrained
     metavariable by a fresh ordinary variable."""
     proof = subst_terms_in_proof(s, proof)
-    leftovers = {}
-
-    def scan(p: Proof):
-        if p.witness is not None:
-            for v in free_vars(p.witness):
-                if _is_meta(v) and v not in leftovers:
-                    counter[0] += 1
-                    leftovers[v] = Var(f"w{counter[0]}", v.sort)
-        for c in p.children:
-            scan(c)
-
-    scan(proof)
+    leftovers: Subst = {}
+    _name_leftover_metas(proof, leftovers, counter)
     if leftovers:
         proof = subst_terms_in_proof(leftovers, proof)
     return proof
+
+
+def _name_leftover_metas(p: Proof, leftovers: Subst, counter: list) -> None:
+    """A fresh ordinary variable for every metavariable left in a witness,
+    in pre-order."""
+    if p.witness is not None:
+        for v in free_vars(p.witness):
+            if _is_meta(v) and v not in leftovers:
+                counter[0] += 1
+                leftovers[v] = Var(f"w{counter[0]}", v.sort)
+    for c in p.children:
+        _name_leftover_metas(c, leftovers, counter)
 
 
 def search_proof(theory: Theory, goal: Sequent, depth: int = 8,
@@ -309,7 +311,7 @@ def search_proof(theory: Theory, goal: Sequent, depth: int = 8,
     narrowing bound hit anywhere downgrades that to BoundExceeded."""
     if depth <= 0:
         raise ValueError("depth must be positive")
-    if not check_nonconfusing(theory.system):
+    if not theory.report.nonconfusing:
         raise TheoryError("theory is not non-confusing")
     if not isinstance(goal, Sequent):
         goal = Sequent((), goal)
@@ -328,7 +330,7 @@ def search_proof(theory: Theory, goal: Sequent, depth: int = 8,
         proof = _resolve_metas(proof, s, [engine.counter])
         if require_kernel_check:
             res = check_proof(theory, proof, goal, fuel)
-            if not res.ok or find_cuts(theory, res.proof):
+            if not res.ok or find_cuts(res.proof):
                 continue  # defensive: skip unsound candidates
             proof = res.proof
         return SearchOutcome("proved", proof, engine.stats)

@@ -9,7 +9,7 @@ rewriting lets that atom sit anywhere inside a proposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import is_not
 from typing import Optional
 
@@ -55,41 +55,37 @@ class RewriteRule:
         return isinstance(self.lhs, App)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RewriteSystem:
-    """Ordered rules plus validation flags.
+    """Ordered rules, the user's ``assert terminating.``, and whether the
+    system is convergent.  Only a Theory records ``convergent``, from its
+    validation report; a system built by hand is never taken as convergent.
 
-    Flags are only set by the corresponding check operations or by an
-    explicit user assertion (``assert_terminating``); they start unset.
-    """
+    Built once with the system, for every redex and narrowing search:
+    ``by_head`` (the rules by the head symbol of their left-hand sides,
+    in order), ``term_rules`` and ``prop_rules``."""
 
-    rules: list[RewriteRule] = field(default_factory=list)
+    rules: tuple[RewriteRule, ...] = ()
     asserted_terminating: bool = False
-    termination_method: Optional[str] = None  # "lpo" | "user-asserted"
-    checked_locally_confluent: bool = False
-    checked_nonconfusing: bool = False
+    convergent: bool = False
 
     def __post_init__(self):
-        names = [r.name for r in self.rules]
+        rules = tuple(self.rules)
+        names = [r.name for r in rules]
         if len(names) != len(set(names)):
             raise RuleError("rule names must be unique")
+        by_head: dict[str, list[RewriteRule]] = {}
+        for r in rules:
+            by_head.setdefault(_head(r.lhs), []).append(r)
+        init = object.__setattr__   # a frozen instance refuses setattr
+        init(self, "rules", rules)
+        init(self, "by_head", by_head)
+        init(self, "term_rules", tuple(r for r in rules if r.is_term_rule))
+        init(self, "prop_rules", tuple(r for r in rules if not r.is_term_rule))
 
-    @property
-    def term_rules(self) -> list[RewriteRule]:
-        return [r for r in self.rules if r.is_term_rule]
 
-    @property
-    def prop_rules(self) -> list[RewriteRule]:
-        return [r for r in self.rules if not r.is_term_rule]
-
-    def assert_terminating(self):
-        self.asserted_terminating = True
-        if self.termination_method != "lpo":
-            self.termination_method = "user-asserted"
-
-    @property
-    def convergent(self) -> bool:
-        return self.asserted_terminating and self.checked_locally_confluent
+def _head(x: Node) -> Optional[str]:
+    return x.fn if isinstance(x, App) else x.pred if isinstance(x, Atom) else None
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +132,7 @@ def _match(p: Node, t: Node, s: Subst) -> bool:
 
 def _step_at(rs: RewriteSystem, node: Node):
     """First rule rewriting `node` at its root, as (rule, reduct) or None."""
-    rules = (rs.term_rules if isinstance(node, App)
-             else rs.prop_rules if isinstance(node, Atom) else ())
-    for r in rules:
+    for r in rs.by_head.get(_head(node), ()):
         s = match_pattern(r.lhs, node)
         if s is not None:
             return r, apply_subst(s, r.rhs)
@@ -151,9 +145,7 @@ def rewrite_positions(rs: RewriteSystem, x: Node):
     input); empty iff x is in normal form."""
     out = []
     for pos, node in positions(x):
-        rules = (rs.term_rules if isinstance(node, App)
-                 else rs.prop_rules if isinstance(node, Atom) else ())
-        for r in rules:
+        for r in rs.by_head.get(_head(node), ()):
             s = match_pattern(r.lhs, node)
             if s is not None:
                 out.append((pos, r.name, replace_at(x, pos, apply_subst(s, r.rhs))))
@@ -207,13 +199,9 @@ def _innermost(rs: RewriteSystem, x: Node, fuel: int) -> NormalForm:
     root step goes on with the rule's rhs under the match, whose bound
     subterms are normal and not visited again.  A node whose children
     come back unchanged is returned as the same object."""
-    by_head: dict = {}   # rules by lhs head symbol, in order
-    for rule in rs.rules:
-        head = rule.lhs.fn if isinstance(rule.lhs, App) else rule.lhs.pred
-        by_head.setdefault(head, []).append(rule)
     left = [fuel]   # steps still allowed
     try:
-        return NormalForm(_nf(x, None, by_head, left), fuel - left[0])
+        return NormalForm(_nf(x, None, rs.by_head, left), fuel - left[0])
     except _Unwind as e:
         _out_of_fuel(e.args[0], fuel)
 
@@ -238,9 +226,7 @@ def _nf(pattern: Node, s: Optional[Subst], by_head: dict, left: list) -> Node:
         node = pattern
         if s is not None or done and any(map(is_not, done, kids)):
             node = with_children(pattern, tuple(done))
-        head = (node.fn if isinstance(node, App)
-                else node.pred if isinstance(node, Atom) else None)
-        for rule in by_head.get(head, ()):
+        for rule in by_head.get(_head(node), ()):
             match = match_pattern(rule.lhs, node)
             if match is not None:
                 break
@@ -403,7 +389,7 @@ class ConfluenceReport:
 def check_local_confluence(rs: RewriteSystem,
                            fuel: int = DEFAULT_FUEL) -> ConfluenceReport:
     """Test every critical pair for joinability by normalization within
-    fuel; sets the checked-locally-confluent flag iff all pairs join."""
+    fuel."""
     joinable, failures, unknown = [], [], []
     for cp in critical_pairs(rs):
         try:
@@ -418,11 +404,8 @@ def check_local_confluence(rs: RewriteSystem,
         bucket = joinable if verdict == "yes" else failures
         bucket.append(CriticalPair(cp.peak, cp.left, cp.right, cp.position,
                                    cp.inner_rule, cp.outer_rule, verdict))
-    report = ConfluenceReport(tuple(joinable + failures + unknown),
-                              tuple(joinable), tuple(failures), tuple(unknown))
-    if report.locally_confluent:
-        rs.checked_locally_confluent = True
-    return report
+    return ConfluenceReport(tuple(joinable + failures + unknown),
+                            tuple(joinable), tuple(failures), tuple(unknown))
 
 
 # ---------------------------------------------------------------------------
@@ -494,17 +477,12 @@ def lpo_gt(rank: dict, s: Node, t: Node, right: bool = False) -> bool:
 def check_termination_lpo(rs: RewriteSystem, precedence: list[str]) -> bool:
     """True iff lhs > rhs in the lexicographic path order induced by the
     precedence (later entries are greater) for every rule, with either a
-    left-to-right or a right-to-left status used uniformly; sets the
-    asserted-terminating flag when it succeeds."""
+    left-to-right or a right-to-left status used uniformly."""
     rank = {f: i for i, f in enumerate(precedence)}
-    ok = any(
+    return any(
         all(lpo_gt(rank, _encode(r.lhs, {}), _encode(r.rhs, {}), right)
             for r in rs.rules)
         for right in (False, True))
-    if ok:
-        rs.asserted_terminating = True
-        rs.termination_method = "lpo"
-    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -515,20 +493,18 @@ def check_nonconfusing(rs: RewriteSystem) -> bool:
     """Sufficient syntactic criterion: every proposition rule rewrites an
     atom, every term rule a term, and no two proposition rules with
     overlapping left-hand sides expose different head connectives."""
-    ok = all(isinstance(r.lhs, (App, Atom)) for r in rs.rules)
-    if ok:
-        from .unification import unify_syntactic
-        prop_rules = rs.prop_rules
-        for i, r1 in enumerate(prop_rules):
-            for r2 in prop_rules[i + 1:]:
-                a = _rename_apart(r1, {v.name for v in free_vars(r2.lhs)})
-                if unify_syntactic(a.lhs, r2.lhs) is None:
-                    continue
-                h1, h2 = a.rhs, r2.rhs
-                if isinstance(h1, Atom) or isinstance(h2, Atom):
-                    continue  # an atom reduct never clashes on its head
-                if type(h1) is not type(h2):
-                    ok = False
-    if ok:
-        rs.checked_nonconfusing = True
-    return ok
+    if not all(isinstance(r.lhs, (App, Atom)) for r in rs.rules):
+        return False
+    from .unification import unify_syntactic
+    prop_rules = rs.prop_rules
+    for i, r1 in enumerate(prop_rules):
+        for r2 in prop_rules[i + 1:]:
+            a = _rename_apart(r1, {v.name for v in free_vars(r2.lhs)})
+            if unify_syntactic(a.lhs, r2.lhs) is None:
+                continue
+            h1, h2 = a.rhs, r2.rhs
+            if isinstance(h1, Atom) or isinstance(h2, Atom):
+                continue  # an atom reduct never clashes on its head
+            if type(h1) is not type(h2):
+                return False
+    return True

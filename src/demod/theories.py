@@ -2,21 +2,21 @@
 sub-formula sets.
 
 A theory is a signature plus a rewrite system: the rules ARE the theory.
-Validation never rejects -- it only records what could be established
-(non-confusion, local confluence, an LPO termination proof or a user
-assertion).
+Each theory is validated once, when it is built.  Validation never
+rejects -- it only records what could be established (non-confusion,
+local confluence, an LPO termination proof or a user assertion).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .errors import FuelExhausted, TheoryError
 from .rewriting import (
     DEFAULT_FUEL, RewriteRule, RewriteSystem,
     check_local_confluence, check_nonconfusing, check_termination_lpo,
-    congruent, critical_pairs, normalize, rewrite_positions,
+    congruent, normalize, rewrite_positions,
 )
 from .syntax import (
     And, App, Atom, ForAll, Hole, Imp, Node, Proposition,
@@ -46,14 +46,23 @@ class ValidationReport:
         out.extend(f"note: {n}" for n in self.notes)
         return out
 
+    @property
+    def convergent(self) -> bool:
+        """Terminating and locally confluent, hence confluent."""
+        return self.termination != "unknown" and self.locally_confluent is True
 
-@dataclass
+
+@dataclass(frozen=True)
 class Theory:
+    """A signature and its rules, validated once when built: ``report``
+    holds the verdicts, and ``system`` is the given system with the
+    report's convergence recorded."""
+
     name: str
     signature: Signature
     system: RewriteSystem
-    report: Optional[ValidationReport] = None
     notes: tuple[str, ...] = ()
+    report: ValidationReport = field(init=False)
 
     def __post_init__(self):
         for r in self.system.rules:
@@ -63,6 +72,10 @@ class Theory:
                     raise TheoryError(
                         f"rule {r.name}: ill-formed {print_node(side)}: "
                         f"{w.message}")
+        report = validate_theory(self)
+        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "system", replace(
+            self.system, convergent=report.convergent))
 
     def default_precedence(self) -> list[str]:
         """Declaration order; later symbols are greater in the LPO."""
@@ -70,25 +83,21 @@ class Theory:
 
 
 def validate_theory(theory: Theory, fuel: int = DEFAULT_FUEL) -> ValidationReport:
-    """Run every check and record the verdicts; reports only, never rejects."""
+    """Run every check on the theory's rules and report the verdicts;
+    changes nothing and never rejects."""
     rs = theory.system
     shapes = all(not isinstance(r.lhs, Var) for r in rs.rules)
     nonconf = check_nonconfusing(rs)
-    cps = critical_pairs(rs)
     conf_report = check_local_confluence(rs, fuel)
     confluent = None if conf_report.unknown else conf_report.locally_confluent
-    if rs.termination_method == "user-asserted":
+    if rs.asserted_terminating:
         termination = "user-asserted"
     elif check_termination_lpo(rs, theory.default_precedence()):
         termination = "lpo"
-    elif rs.asserted_terminating:
-        termination = rs.termination_method or "user-asserted"
     else:
         termination = "unknown"
-    report = ValidationReport(shapes, nonconf, len(cps), confluent,
-                              termination, theory.notes)
-    theory.report = report
-    return report
+    return ValidationReport(shapes, nonconf, len(conf_report.pairs),
+                            confluent, termination, theory.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +157,9 @@ def load_builtin(name: str) -> Theory:
             "powerset",
             Atom("in", (x, App("pow", (y,)))),
             ForAll(z, Imp(Atom("in", (z, x)), Atom("in", (z, y)))))
-        rs = RewriteSystem([rule])
-        rs.assert_terminating()  # each step strictly reduces pow-nesting
-        t = Theory("powerset", sig, rs)
+        # asserted: each step strictly reduces pow-nesting
+        t = Theory("powerset", sig,
+                   RewriteSystem([rule], asserted_terminating=True))
     elif name == "crabbe":
         sig = make_signature(["iota"], {}, {"P": [], "Q": []})
         rule = RewriteRule("crabbe", Atom("P"), Imp(Atom("P"), Atom("Q")))
@@ -171,9 +180,9 @@ def load_builtin(name: str) -> Theory:
         x = _v("x", "nat")
         rule = RewriteRule("p0", Atom("P", (App("0"),)),
                            ForAll(x, Atom("P", (x,))))
-        rs = RewriteSystem([rule])
-        rs.assert_terminating()  # the rhs contains no further P(0) redex
-        t = Theory("p0-forall", sig, rs)
+        # asserted: the rhs contains no further P(0) redex
+        t = Theory("p0-forall", sig,
+                   RewriteSystem([rule], asserted_terminating=True))
     elif name == "pf-collapse":
         sig = make_signature(["iota"], {"f": (["iota"], "iota")},
                              {"P": ["iota"]})
@@ -183,7 +192,6 @@ def load_builtin(name: str) -> Theory:
         t = Theory("pf-collapse", sig, RewriteSystem([rule]))
     else:
         raise TheoryError(f"unknown builtin theory {name!r}")
-    validate_theory(t)
     return t
 
 

@@ -14,7 +14,7 @@ from demod import (
     apply_subst, check_proof, congruent, consistency_probe, find_cuts,
     free_vars, load_builtin, make_signature, narrow_unify, normalize,
     normalize_proof, print_node, search_proof, subformula_closure,
-    unify_syntactic, validate_theory,
+    unify_syntactic,
 )
 from demod.parsing import parse_proof, parse_prop, parse_sequent, parse_term
 from demod.syntax import QUANT
@@ -65,7 +65,7 @@ def test_criterion_3_crabbe_triple():
         '(imp_i "h" (imp_e (axiom "h") (axiom "h"))))', sig)
     goal = parse_sequent("|- Q", sig)
     checked = check_proof(crabbe, proof, goal)
-    has_cut = checked.ok and len(find_cuts(crabbe, checked.proof).cuts) >= 1
+    has_cut = checked.ok and len(find_cuts(checked.proof).cuts) >= 1
     diverged = False
     if checked.ok:
         try:
@@ -85,7 +85,6 @@ def test_criterion_4_consistency_probes():
         for name in ("empty", "pf-collapse"))
     sig = load_builtin("pf-collapse").signature
     axiomatic = Theory("pf-axiom", sig, RewriteSystem([]))
-    validate_theory(axiomatic)
     ax = parse_prop(
         "(forall (x : iota) (and (imp (P (f x)) (P x))"
         " (imp (P x) (P (f x)))))", sig)
@@ -116,7 +115,6 @@ def test_criterion_5_fold_unfold_oracle():
     modulo = load_builtin("def-conj")
     sig = modulo.signature
     axiomatic = Theory("def-conj-ax", sig, RewriteSystem([]))
-    validate_theory(axiomatic)
     ax = parse_prop("(and (imp P (and A B)) (imp (and A B) P))", sig)
     agree = 0
     for text in FOLD_UNFOLD_GOALS:
@@ -172,7 +170,7 @@ def test_criterion_7_disjunction_property():
         out = search_proof(theory, goal, depth=8)
         if not out.proved or out.proof.tag not in ("or_i1", "or_i2"):
             ok = False
-        elif find_cuts(theory, out.proof).cuts:
+        elif find_cuts(out.proof).cuts:
             ok = False
     report(7, ok, f"all {len(DISJUNCTION_GOALS)} proved closed disjunctions "
                   "are cut-free and end with an or-introduction")
@@ -183,7 +181,6 @@ def test_criterion_8_subformula_golden():
     rs = RewriteSystem([RewriteRule("d", Atom("P"),
                                     Imp(Atom("Q"), Atom("Q")))])
     theory = Theory("qq", sig, rs)
-    validate_theory(theory)
     s = subformula_closure(theory, Atom("P"))
     want = frozenset({alpha_key(Atom("P")), alpha_key(Atom("Q"))})
     report(8, s.status == "closed" and s.keys() == want,
@@ -310,7 +307,7 @@ def _mutation_suite(rng):
         mutated = _wrap_at(base.proof, rng.choice(paths), f"_m{mut}", TOP)
         count += 1
         checked = check_proof(theory, mutated, goal)
-        if not checked.ok or not find_cuts(theory, checked.proof).cuts:
+        if not checked.ok or not find_cuts(checked.proof).cuts:
             bad += 1
             continue
         try:
@@ -319,7 +316,7 @@ def _mutation_suite(rng):
             bad += 1
             continue
         final = check_proof(theory, n.proof, goal)
-        if not final.ok or find_cuts(theory, n.proof).cuts:
+        if not final.ok or find_cuts(n.proof).cuts:
             bad += 1
     return count, bad
 

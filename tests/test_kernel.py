@@ -4,7 +4,7 @@ from demod import (
     App, Atom, FuelExhausted, Imp, Proof, RewriteRule, RewriteSystem,
     Sequent, Theory, Var, check_proof, commute_conversions, find_cuts,
     iff_axioms_to_rules, load_builtin, normalize_proof, print_node,
-    reduce_cut, validate_theory,
+    reduce_cut,
 )
 from demod.errors import ProofError
 from demod.parsing import parse_proof, parse_prop, parse_sequent, print_proof
@@ -99,7 +99,7 @@ class TestCrabbe:
 
     def test_has_a_cut(self, crabbe):
         r = chk(crabbe, self.PROOF, '|- Q')
-        report = find_cuts(crabbe, r.proof)
+        report = find_cuts(r.proof)
         assert len(report.cuts) >= 1
         assert report.cuts[0][1:] == ("imp_i", "imp_e")
 
@@ -117,7 +117,7 @@ class TestCutReduction:
         r = check_proof(theory, parse_proof(proof_text, sig), goal)
         assert r.ok, r.message
         n = normalize_proof(theory, r.proof, goal=goal)
-        assert not find_cuts(theory, n.proof).cuts
+        assert not find_cuts(n.proof).cuts
         again = check_proof(theory, n.proof, goal)
         assert again.ok
         assert print_proof(n.proof) == expect_normal
@@ -216,5 +216,4 @@ class TestIffAxiomsToRules:
         ax = parse_prop('(and (imp P (and A B)) (imp (and A B) P))', sig)
         dr = iff_axioms_to_rules([ax])
         t2 = Theory("derived", sig, RewriteSystem(list(dr.rules)))
-        validate_theory(t2)
         assert chk(t2, '(and_e1 (axiom "h"))', 'h : P |- A').ok

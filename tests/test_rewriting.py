@@ -104,6 +104,14 @@ class TestCongruence:
     def test_negative(self, addition):
         assert not congruent(addition.system, nat(1), nat(2))
 
+    def test_hand_built_system_is_heuristic(self, addition):
+        # the same rules, but no Theory has validated this system
+        rs = RewriteSystem(addition.system.rules)
+        assert not rs.convergent
+        same, how = congruent_detail(
+            rs, App("plus", (nat(1), nat(1))), nat(2))
+        assert same and how == "heuristic"
+
     def test_heuristic_on_crabbe(self, crabbe):
         same, how = congruent_detail(
             crabbe.system, Atom("P"), Imp(Atom("P"), Atom("Q")))
@@ -137,7 +145,7 @@ class TestCriticalPairs:
     def test_local_confluence_positive(self, addition):
         rep = check_local_confluence(addition.system)
         assert rep.locally_confluent
-        assert addition.system.checked_locally_confluent
+        assert addition.report.locally_confluent
 
     def test_local_confluence_negative(self):
         rs = RewriteSystem([
@@ -152,8 +160,8 @@ class TestLPO:
     def test_orients_addition(self, addition):
         assert check_termination_lpo(addition.system,
                                      addition.default_precedence())
-        assert addition.system.asserted_terminating
-        assert addition.system.termination_method == "lpo"
+        assert addition.report.termination == "lpo"
+        assert addition.system.convergent
 
     def test_orients_assoc(self, assoc):
         assert check_termination_lpo(assoc.system,

@@ -1,12 +1,14 @@
+import dataclasses
+
 import pytest
 
 from demod import (
-    Atom, BUILTIN_NAMES, Hole, Imp, RewriteRule, RewriteSystem, Theory,
-    Var, alpha_key, load_builtin, make_signature, print_node,
-    subformula_closure, validate_theory,
+    And, Atom, BUILTIN_NAMES, Hole, Imp, RewriteRule, RewriteSystem, Theory,
+    Var, alpha_key, check_proof, load_builtin, make_signature, print_node,
+    search_proof, subformula_closure, validate_theory,
 )
-from demod.errors import TheoryError
-from demod.parsing import parse_prop
+from demod.errors import RuleError, TheoryError
+from demod.parsing import parse_proof, parse_prop, parse_sequent
 
 
 class TestBuiltins:
@@ -61,6 +63,59 @@ class TestTheoryConstruction:
         assert prec.index("0") < prec.index("S") < prec.index("plus")
 
 
+def _confusing_theory():
+    # the r1/r2 pair of the non-confusion tests: P exposes two connectives
+    sig = make_signature(["iota"], {}, {"P": [], "Q": []})
+    return Theory("confusing", sig, RewriteSystem([
+        RewriteRule("r1", Atom("P"), Imp(Atom("Q"), Atom("Q"))),
+        RewriteRule("r2", Atom("P"), And(Atom("Q"), Atom("Q"))),
+    ]))
+
+
+class TestValidatedOnce:
+    def test_rewrite_system_fields_cannot_be_assigned(self, addition):
+        rs = addition.system
+        for f in dataclasses.fields(rs):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rs, f.name, getattr(rs, f.name))
+
+    def test_theory_fields_cannot_be_assigned(self, addition):
+        for f in dataclasses.fields(addition):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(addition, f.name, getattr(addition, f.name))
+
+    def test_rules_are_a_tuple(self):
+        rule = RewriteRule("d", Atom("P"), Imp(Atom("Q"), Atom("Q")))
+        assert RewriteSystem([rule]).rules == (rule,)
+        assert isinstance(RewriteSystem([rule]).rules, tuple)
+
+    def test_verdicts_do_not_move(self, addition):
+        report = addition.report
+        assert addition.system.convergent
+        sig = addition.signature
+        goal = parse_sequent("|- (imp (P (plus 0 0)) (P 0))", sig)
+        assert check_proof(addition, parse_proof('(imp_i "h" (axiom "h"))',
+                                                 sig), goal).ok
+        assert search_proof(addition, goal, depth=4).proved
+        assert validate_theory(addition) == report
+        assert addition.report is report
+        assert addition.system.convergent
+
+    def test_confusing_theory_refused_by_checker(self):
+        t = _confusing_theory()
+        assert not t.report.nonconfusing
+        proof = parse_proof('(imp_i "h" (axiom "h"))', t.signature)
+        goal = parse_sequent("|- (imp Q Q)", t.signature)
+        with pytest.raises(RuleError, match="not non-confusing"):
+            check_proof(t, proof, goal)
+
+    def test_confusing_theory_refused_by_prover(self):
+        t = _confusing_theory()
+        goal = parse_sequent("|- (imp Q Q)", t.signature)
+        with pytest.raises(TheoryError, match="not non-confusing"):
+            search_proof(t, goal, depth=4)
+
+
 class TestSubformulaClosure:
     def test_golden_qq(self):
         # P ~> (imp Q Q): the classes are exactly [P] and [Q]
@@ -68,7 +123,6 @@ class TestSubformulaClosure:
         rs = RewriteSystem([RewriteRule("d", Atom("P"),
                                         Imp(Atom("Q"), Atom("Q")))])
         t = Theory("qq", sig, rs)
-        validate_theory(t)
         s = subformula_closure(t, Atom("P"))
         assert s.status == "closed"
         assert s.keys() == frozenset({alpha_key(Atom("P")),
