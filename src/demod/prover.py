@@ -33,8 +33,11 @@ def _is_meta(v: Var) -> bool:
     return v.name.startswith(META_PREFIX)
 
 
-def _metas(x) -> frozenset[Var]:
-    return frozenset(v for v in free_vars(x) if _is_meta(v))
+def _has_meta(x) -> bool:
+    for v in free_vars(x):
+        if _is_meta(v):
+            return True
+    return False
 
 
 @dataclass
@@ -113,7 +116,7 @@ class _Search:
               s: Subst) -> Iterator[Subst]:
         """Ways of making hypothesis and goal congruent, possibly
         instantiating metavariables."""
-        if not _metas(hyp) and not _metas(goal):
+        if not _has_meta(hyp) and not _has_meta(goal):
             try:
                 if self.session.congruent(hyp, goal):
                     yield s

@@ -490,11 +490,8 @@ def check_termination_lpo(rs: RewriteSystem, precedence: list[str]) -> bool:
 
 
 def check_nonconfusing(rs: RewriteSystem) -> bool:
-    """Sufficient syntactic criterion: every proposition rule rewrites an
-    atom, every term rule a term, and no two proposition rules with
+    """Sufficient syntactic criterion: no two proposition rules with
     overlapping left-hand sides expose different head connectives."""
-    if not all(isinstance(r.lhs, (App, Atom)) for r in rs.rules):
-        return False
     from .unification import unify_syntactic
     prop_rules = rs.prop_rules
     for i, r1 in enumerate(prop_rules):

@@ -1,7 +1,9 @@
 """Many-sorted first-order syntax: terms, propositions, substitutions.
 
 All values are immutable after construction; every operation here is a
-pure function, so values can be shared freely between threads.
+pure function, so values can be shared freely between threads.  (Two
+derived values are kept on the node they were computed from; see
+``free_vars``.  Writing one is idempotent.)
 
 Negation is not primitive: write ``Imp(a, BOT)``.
 """
@@ -254,17 +256,33 @@ def positions(x: Node) -> Iterator[tuple[Position, Node]]:
 
 
 # ---------------------------------------------------------------------------
-# Free variables and sorts
+# Free variables and sorts.  ``free_vars`` of a proposition and
+# ``alpha_key`` of any node are computed on first request and kept on the
+# node with ``object.__setattr__``, outside the dataclass fields, so
+# ``==``, ``hash``, ``repr`` and ``dataclasses.fields`` do not see them.
+# Free variables of terms are not kept: narrowing asks for those of most
+# fresh terms only once.
 
 
 def free_vars(x: Node) -> frozenset[Var]:
     if isinstance(x, Var):
         return frozenset({x})
-    if isinstance(x, QUANT):
-        return free_vars(x.body) - {x.var}
-    out: frozenset[Var] = frozenset()
-    for c in children(x):
-        out |= free_vars(c)
+    if isinstance(x, App):
+        out: frozenset[Var] = frozenset()
+        for a in x.args:
+            out |= free_vars(a)
+        return out
+    if isinstance(x, (Hole, Top, Bottom)):
+        return frozenset()
+    out = getattr(x, "_free_vars", None)
+    if out is None:
+        if isinstance(x, QUANT):
+            out = free_vars(x.body) - {x.var}
+        else:
+            out = frozenset()
+            for c in children(x):
+                out |= free_vars(c)
+        object.__setattr__(x, "_free_vars", out)
     return out
 
 
@@ -378,7 +396,10 @@ def _alpha(a: Node, b: Node, la: dict, lb: dict) -> bool:
         head_b = b.fn if isinstance(b, App) else b.pred
         if head_a != head_b or len(a.args) != len(b.args):
             return False
-        return all(_alpha(x, y, la, lb) for x, y in zip(a.args, b.args))
+        for x, y in zip(a.args, b.args):
+            if not _alpha(x, y, la, lb):
+                return False
+        return True
     if isinstance(a, QUANT):
         if a.var.sort != b.var.sort:
             return False
@@ -395,10 +416,15 @@ def _alpha(a: Node, b: Node, la: dict, lb: dict) -> bool:
 
 
 def alpha_key(x: Node) -> str:
-    """Canonical string, identical for alpha-equivalent values."""
-    out: list[str] = []
-    _akey(x, {}, out)
-    return "".join(out)
+    """Canonical string, identical for alpha-equivalent values; computed
+    once per node (see "Free variables")."""
+    key = getattr(x, "_alpha_key", None)
+    if key is None:
+        out: list[str] = []
+        _akey(x, {}, out)
+        key = "".join(out)
+        object.__setattr__(x, "_alpha_key", key)
+    return key
 
 
 def _akey(x: Node, bound: dict, out: list) -> None:
@@ -523,8 +549,10 @@ def print_term(t: Term, annotate_vars: bool = False) -> str:
         return "_"
     if not t.args:
         return t.fn
-    inner = " ".join(print_term(a, annotate_vars) for a in t.args)
-    return f"({t.fn} {inner})"
+    parts = [f"({t.fn}"]
+    for a in t.args:
+        parts.append(print_term(a, annotate_vars))
+    return " ".join(parts) + ")"
 
 
 def print_prop(p: Proposition) -> str:

@@ -27,7 +27,6 @@ from .syntax import (
 
 @dataclass(frozen=True)
 class ValidationReport:
-    lhs_shapes_ok: bool
     nonconfusing: bool
     critical_pair_count: int
     locally_confluent: Optional[bool]  # None = unknown at fuel
@@ -37,7 +36,7 @@ class ValidationReport:
     def lines(self):
         lc = {True: "yes", False: "NO", None: "unknown"}[self.locally_confluent]
         out = [
-            f"lhs shapes ok: {'yes' if self.lhs_shapes_ok else 'NO'}",
+            "lhs shapes ok: yes",   # RewriteRule refuses any other lhs
             f"non-confusing: {'yes' if self.nonconfusing else 'NO'}",
             f"critical pairs: {self.critical_pair_count}",
             f"locally confluent: {lc}",
@@ -86,7 +85,6 @@ def validate_theory(theory: Theory, fuel: int = DEFAULT_FUEL) -> ValidationRepor
     """Run every check on the theory's rules and report the verdicts;
     changes nothing and never rejects."""
     rs = theory.system
-    shapes = all(not isinstance(r.lhs, Var) for r in rs.rules)
     nonconf = check_nonconfusing(rs)
     conf_report = check_local_confluence(rs, fuel)
     confluent = None if conf_report.unknown else conf_report.locally_confluent
@@ -96,7 +94,7 @@ def validate_theory(theory: Theory, fuel: int = DEFAULT_FUEL) -> ValidationRepor
         termination = "lpo"
     else:
         termination = "unknown"
-    return ValidationReport(shapes, nonconf, len(conf_report.pairs),
+    return ValidationReport(nonconf, len(conf_report.pairs),
                             confluent, termination, theory.notes)
 
 

@@ -165,8 +165,8 @@ class TestErrors:
         assert err == "error: boom\n"
 
     def test_deep_sum_never_exits_1(self, run):
-        # S^400(0)+S^400(0) is deeper than the recursion limit allows
-        # today; whatever breaks, the answer is the sum or an error
+        # whatever breaks on a deep input, the answer is the sum or an
+        # error, never a definite "no"
         n = "0"
         for _ in range(400):
             n = f"(S {n})"
@@ -178,3 +178,28 @@ class TestErrors:
         else:
             assert code == 0
             assert out.count("(S ") == 800
+
+
+def numeral(k):
+    n = "0"
+    for _ in range(k):
+        n = f"(S {n})"
+    return n
+
+
+class TestDeepInputs:
+    # S^k(0)+S^k(0): printing the 2k+1 levels of the answer, and comparing
+    # it with the expected numeral, take one Python frame per level
+    @pytest.mark.parametrize("k", [200, 400])
+    def test_normalize_sum(self, run, k):
+        code, out, err = run("normalize", "builtin:addition",
+                             f"(plus {numeral(k)} {numeral(k)})")
+        assert (code, err) == (0, "")
+        assert out == f"{numeral(2 * k)}\nsteps: {k + 1}\n#verdict: ok\n"
+
+    def test_congruent_sum(self, run):
+        code, out, err = run("congruent", "builtin:addition",
+                             f"(plus {numeral(200)} {numeral(200)})",
+                             numeral(400))
+        assert (code, err) == (0, "")
+        assert out == "method: normal-form\n#verdict: yes\n"

@@ -106,14 +106,28 @@ class TestProbe:
         out = consistency_probe(load_builtin("pf-collapse"), depth=10)
         assert out.status == "fail"
 
-    def test_axiomatic_presentation_diverges(self):
+    @staticmethod
+    def pf_axiom():
         sig = load_builtin("pf-collapse").signature
         t = Theory("pf-axiom", sig, RewriteSystem([]))
         ax = parse_prop(
             "(forall (x : iota) (and (imp (P (f x)) (P x))"
             " (imp (P x) (P (f x)))))", sig)
+        return t, ax
+
+    def test_axiomatic_presentation_diverges(self):
+        t, ax = self.pf_axiom()
         out = consistency_probe(t, depth=6, hypotheses=(ax,))
         assert out.status == "bound-exceeded"
+
+    @pytest.mark.parametrize("depth, nodes", [(8, 13452), (10, 50025)])
+    def test_axiomatic_probe_work(self, depth, nodes):
+        # the search tree is pinned: a faster prover visits the same nodes;
+        # depth 10 stops at the node cap of 50 000
+        t, ax = self.pf_axiom()
+        out = consistency_probe(t, depth=depth, hypotheses=(ax,))
+        assert out.status == "bound-exceeded"
+        assert out.stats.nodes == nodes
 
     def test_inconsistent_hypotheses_found(self, empty):
         sig = empty.signature

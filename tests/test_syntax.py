@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -10,7 +11,10 @@ from demod import (
     wellformed,
 )
 from demod.errors import SortError, TheoryError
-from demod.syntax import check_substitution, positions, replace_at, subterm_at
+from demod.syntax import (
+    QUANT, Bottom, Hole, Top, check_substitution, children, positions,
+    replace_at, subterm_at, with_children,
+)
 
 from conftest import random_prop, random_term
 
@@ -149,3 +153,75 @@ def test_alpha_key_deterministic(seed):
     sig = load_builtin("addition").signature
     p = random_prop(rng, sig, 3)
     assert alpha_key(p) == alpha_key(p)
+
+
+def rebuild(x):
+    """A copy of the same structure made of new node objects, so nothing
+    is cached on it yet."""
+    if isinstance(x, Var):
+        return Var(x.name, x.sort)
+    if isinstance(x, Hole):
+        return Hole(x.sort)
+    if isinstance(x, (Top, Bottom)):
+        return type(x)()
+    if isinstance(x, QUANT):
+        return type(x)(rebuild(x.var), rebuild(x.body))
+    return with_children(x, tuple(rebuild(c) for c in children(x)))
+
+
+def warm(x):
+    """Ask for the cached values of every node of ``x``, and of an
+    instance of it that shares most of its nodes."""
+    for _, node in positions(x):
+        alpha_key(node)
+        free_vars(node)
+    inst = apply_subst({v("x"): App("S", (v("y"),))}, x)
+    for _, node in positions(inst):
+        alpha_key(node)
+        free_vars(node)
+
+
+def random_node(seed):
+    rng = random.Random(seed)
+    sig = load_builtin("addition").signature
+    pool = (v("x"), v("y"), v("z"))
+    if rng.random() < 0.3:
+        return random_term(rng, sig, "nat", 4, pool)
+    return random_prop(rng, sig, 4, pool)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=100)
+def test_cached_values_match_a_fresh_copy(seed):
+    x = random_node(seed)
+    warm(x)
+    for _, node in positions(x):
+        fresh = rebuild(node)
+        assert fresh is not node
+        assert alpha_key(node) == alpha_key(fresh)
+        assert free_vars(node) == free_vars(fresh)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=100)
+def test_warm_cache_is_invisible(seed):
+    x = random_node(seed)
+    fresh = rebuild(x)
+    before = (hash(x), repr(x), dataclasses.astuple(x),
+              tuple(f.name for f in dataclasses.fields(x)))
+    warm(x)
+    after = (hash(x), repr(x), dataclasses.astuple(x),
+             tuple(f.name for f in dataclasses.fields(x)))
+    assert after == before
+    assert x == fresh and fresh == x
+    assert hash(fresh) == hash(x)
+    assert repr(fresh) == repr(x)
+    assert dataclasses.astuple(fresh) == dataclasses.astuple(x)
+
+
+def test_values_are_computed_once():
+    x, y = v("x"), v("y")
+    p = ForAll(x, Imp(Atom("P", (App("plus", (x, y)),)), BOT))
+    assert alpha_key(p) is alpha_key(p)
+    assert free_vars(p) is free_vars(p)
+    assert free_vars(p) == {y}

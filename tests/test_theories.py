@@ -16,7 +16,7 @@ class TestBuiltins:
         for name in BUILTIN_NAMES:
             t = load_builtin(name)
             assert t.report is not None
-            assert t.report.lhs_shapes_ok
+            assert t.report.lines()[0] == "lhs shapes ok: yes"
             assert t.report.nonconfusing
 
     def test_unknown_name(self):
