@@ -371,17 +371,6 @@ def _collect_cuts(p: Proof, path: Position, cuts: list) -> None:
 # Hypothesis-label machinery
 
 
-def _binders(p: Proof) -> tuple[str, ...]:
-    """Labels this node binds, per child index position."""
-    if p.tag == "imp_i":
-        return (p.label,)
-    if p.tag == "or_e":
-        return (p.label, p.label2)
-    if p.tag == "exists_e":
-        return (p.label,)
-    return ()
-
-
 def free_labels(p: Proof) -> frozenset[str]:
     out: set[str] = set()
     _collect_free_labels(p, frozenset(), out)
@@ -410,6 +399,14 @@ def _child_bound(q: Proof, i: int) -> frozenset:
     return frozenset()
 
 
+def _binders(q: Proof) -> set:
+    """Labels this node binds in any of its children."""
+    out = set()
+    for i in range(len(q.children)):
+        out |= _child_bound(q, i)
+    return out
+
+
 def _fresh_label(base: str, avoid: set) -> str:
     k = 1
     while f"{base}_{k}" in avoid:
@@ -428,8 +425,7 @@ def _subst_hyp(q: Proof, label: str, repl: Proof,
                repl_free: frozenset) -> Proof:
     if q.tag == "axiom":
         return repl if q.label == label else q
-    binds = {b for b in _binders(q) if b}
-    clash = binds & repl_free
+    clash = _binders(q) & repl_free
     if clash:
         q = _rename_binders(q, clash)
     kids = []
@@ -442,7 +438,7 @@ def _subst_hyp(q: Proof, label: str, repl: Proof,
 
 
 def _rename_binders(q: Proof, clash: set) -> Proof:
-    avoid = set(free_labels(q)) | {b for b in _binders(q) if b}
+    avoid = set(free_labels(q)) | _binders(q)
     new = dict(q.__dict__)
     kids = list(q.children)
     for attr in ("label", "label2"):

@@ -26,7 +26,7 @@ from .rewriting import RewriteRule, RewriteSystem
 from .syntax import (
     And, App, Atom, BOT, Exists, ForAll, Imp, Node, Or, Proposition,
     Signature, TOP, Term, Var, make_signature, print_node, print_prop,
-    print_term, term_sort,
+    term_sort,
 )
 from .theories import Theory
 
@@ -113,13 +113,15 @@ class _Parser:
             if fn not in self.sig.functions:
                 raise ParseError(f"unknown function {fn!r}", l2, c2)
             arg_sorts, result = self.sig.functions[fn]
-            args = tuple(self.term(s) for s in arg_sorts)
+            args = []   # a plain loop: one Python frame per term level
+            for s in arg_sorts:
+                args.append(self.term(s))
             self.lx.expect("rp", "')'")
             if expected is not None and result != expected:
                 raise ParseError(
                     f"term of sort {result} where {expected} is needed",
                     line, col)
-            return App(fn, args)
+            return App(fn, tuple(args))
         if kind != "id":
             self.lx.error("expected a term")
         self.lx.next()
@@ -185,9 +187,11 @@ class _Parser:
             self.var_sorts.pop(v.name, None)
             return _QUANTS[head](v, body)
         if head in self.sig.predicates:
-            args = tuple(self.term(s) for s in self.sig.predicates[head])
+            args = []
+            for s in self.sig.predicates[head]:
+                args.append(self.term(s))
             self.lx.expect("rp", "')'")
-            return Atom(head, args)
+            return Atom(head, tuple(args))
         raise ParseError(f"unknown predicate {head!r}", l2, c2)
 
     def binder(self) -> Var:
@@ -280,20 +284,16 @@ class _Parser:
         return Sequent(tuple(context), conclusion)
 
 
-def _fresh_parser(text: str, sig: Signature) -> _Parser:
-    return _Parser(text, sig)
-
-
 def parse_term(text: str, sig: Signature,
                expected_sort: Optional[str] = None) -> Term:
-    p = _fresh_parser(text, sig)
+    p = _Parser(text, sig)
     t = p.term(expected_sort)
     p.lx.expect("eof", "end of input")
     return t
 
 
 def parse_prop(text: str, sig: Signature) -> Proposition:
-    p = _fresh_parser(text, sig)
+    p = _Parser(text, sig)
     a = p.prop()
     p.lx.expect("eof", "end of input")
     return a
@@ -301,7 +301,7 @@ def parse_prop(text: str, sig: Signature) -> Proposition:
 
 def parse_node(text: str, sig: Signature) -> Node:
     """A term or a proposition, disambiguated by its head symbol."""
-    p = _fresh_parser(text, sig)
+    p = _Parser(text, sig)
     kind, value, _, _ = p.lx.peek()
     if kind == "lp":
         head = p.lx.peek(1)[1]
@@ -318,14 +318,14 @@ def parse_node(text: str, sig: Signature) -> Node:
 
 
 def parse_proof(text: str, sig: Signature) -> Proof:
-    p = _fresh_parser(text, sig)
+    p = _Parser(text, sig)
     pr = p.proof()
     p.lx.expect("eof", "end of input")
     return pr
 
 
 def parse_sequent(text: str, sig: Signature) -> Sequent:
-    p = _fresh_parser(text, sig)
+    p = _Parser(text, sig)
     s = p.sequent()
     p.lx.expect("eof", "end of input")
     return s
@@ -444,9 +444,9 @@ def print_proof(p: Proof) -> str:
         parts.append(print_proof(p.children[0]))
     elif p.tag == "forall_e":
         parts.append(print_proof(p.children[0]))
-        parts.append(_print_witness(p.witness))
+        parts.append(_print_side(p.witness))
     elif p.tag == "exists_i":
-        parts.append(_print_witness(p.witness))
+        parts.append(_print_side(p.witness))
         parts.append(print_proof(p.children[0]))
     elif p.tag == "exists_e":
         parts.append(print_proof(p.children[0]))
@@ -458,12 +458,6 @@ def print_proof(p: Proof) -> str:
     if p.conclusion is not None:
         parts.append(": " + print_prop(p.conclusion))
     return "(" + " ".join(parts) + ")"
-
-
-def _print_witness(t: Term) -> str:
-    if isinstance(t, Var):
-        return f"{t.name}:{t.sort}"
-    return print_term(t)
 
 
 def print_sequent(s: Sequent) -> str:
@@ -494,6 +488,7 @@ def print_theory(t: Theory) -> str:
 
 
 def _print_side(x: Node) -> str:
+    """A rule side or a witness; a bare variable carries its sort."""
     if isinstance(x, Var):
         return f"{x.name}:{x.sort}"
     return print_node(x)

@@ -306,8 +306,7 @@ def _name_leftover_metas(p: Proof, leftovers: Subst, counter: list) -> None:
 
 def search_proof(theory: Theory, goal: Sequent, depth: int = 8,
                  fuel: int = DEFAULT_FUEL, narrow_depth: int = 8,
-                 narrow_cap: int = 16, node_cap: int = 50000,
-                 require_kernel_check: bool = True) -> SearchOutcome:
+                 narrow_cap: int = 16, node_cap: int = 50000) -> SearchOutcome:
     """Bounded goal-directed search for a cut-free proof of the sequent.
 
     Fail means the bounded search space was fully exhausted; a depth or
@@ -331,12 +330,10 @@ def search_proof(theory: Theory, goal: Sequent, depth: int = 8,
     ctx = [(label, h, depth) for label, h in goal.context]
     for proof, s in engine.prove(ctx, goal.conclusion, depth, {}):
         proof = _resolve_metas(proof, s, [engine.counter])
-        if require_kernel_check:
-            res = check_proof(theory, proof, goal, fuel)
-            if not res.ok or find_cuts(res.proof):
-                continue  # defensive: skip unsound candidates
-            proof = res.proof
-        return SearchOutcome("proved", proof, engine.stats)
+        res = check_proof(theory, proof, goal, fuel)
+        if not res.ok or find_cuts(res.proof):
+            continue  # defensive: skip unsound candidates
+        return SearchOutcome("proved", res.proof, engine.stats)
     status = "bound-exceeded" if engine.hit_bound else "fail"
     return SearchOutcome(status, None, engine.stats)
 

@@ -92,11 +92,10 @@ def _head(x: Node) -> Optional[str]:
 # Matching
 
 
-def match_pattern(pattern: Node, subject: Node,
-                  binding: Optional[Subst] = None) -> Optional[Subst]:
+def match_pattern(pattern: Node, subject: Node) -> Optional[Subst]:
     """First-order matching: a substitution s with s(pattern) == subject,
     or None.  Patterns are legal rule left-hand sides, so no binders."""
-    s = dict(binding) if binding else {}
+    s: Subst = {}
     if _match(pattern, subject, s):
         return s
     return None
@@ -270,8 +269,10 @@ def congruent(rs: RewriteSystem, a: Node, b: Node,
     return congruent_detail(rs, a, b, fuel)[0]
 
 
-def _joinable_search(rs: RewriteSystem, a: Node, b: Node, fuel: int,
-                     max_layers: int = 32) -> bool:
+_MAX_LAYERS = 32
+
+
+def _joinable_search(rs: RewriteSystem, a: Node, b: Node, fuel: int) -> bool:
     """Breadth-first forward closure of both sides, testing intersection.
 
     Decides positively as soon as the reachable sets meet, negatively
@@ -284,7 +285,7 @@ def _joinable_search(rs: RewriteSystem, a: Node, b: Node, fuel: int,
     layers = 0
     while frontier_a or frontier_b:
         layers += 1
-        if layers > max_layers:
+        if layers > _MAX_LAYERS:
             raise FuelExhausted(
                 "joinability search undecided within the layer bound")
         if set(seen_a) & set(seen_b):
@@ -416,14 +417,16 @@ _CONNECTIVE_HEADS = {"and#": -1, "or#": -1, "imp#": -1, "top#": -1,
                      "bot#": -1, "forall#": -1, "exists#": -1}
 
 
-def _encode(x: Node, bound: dict) -> Node:
+_BOUND = App("bv#", ())
+
+
+def _encode(x: Node, bound: frozenset) -> Node:
     """Propositions as first-order trees for the path ordering; bound
-    variables become opaque constants so the variable condition is not
-    falsely triggered."""
+    variables become one opaque constant so the variable condition is
+    not falsely triggered.  Two bound constants are never compared:
+    left-hand sides have no binders."""
     if isinstance(x, Var):
-        if x in bound:
-            return App(bound[x], ())
-        return x
+        return _BOUND if x in bound else x
     if isinstance(x, Hole):
         return App("hole#", ())
     if isinstance(x, App):
@@ -438,9 +441,7 @@ def _encode(x: Node, bound: dict) -> Node:
         tag = {"And": "and#", "Or": "or#", "Imp": "imp#"}[type(x).__name__]
         return App(tag, (_encode(x.left, bound), _encode(x.right, bound)))
     tag = "forall#" if isinstance(x, ForAll) else "exists#"
-    b2 = dict(bound)
-    b2[x.var] = f"bv{len(bound)}#"
-    return App(tag, (_encode(x.body, b2),))
+    return App(tag, (_encode(x.body, bound | {x.var}),))
 
 
 def _prec(rank: dict, f: str) -> int:
@@ -479,8 +480,9 @@ def check_termination_lpo(rs: RewriteSystem, precedence: list[str]) -> bool:
     precedence (later entries are greater) for every rule, with either a
     left-to-right or a right-to-left status used uniformly."""
     rank = {f: i for i, f in enumerate(precedence)}
+    none = frozenset()
     return any(
-        all(lpo_gt(rank, _encode(r.lhs, {}), _encode(r.rhs, {}), right)
+        all(lpo_gt(rank, _encode(r.lhs, none), _encode(r.rhs, none), right)
             for r in rs.rules)
         for right in (False, True))
 

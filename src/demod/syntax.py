@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 from .errors import SortError
 
@@ -256,12 +256,11 @@ def positions(x: Node) -> Iterator[tuple[Position, Node]]:
 
 
 # ---------------------------------------------------------------------------
-# Free variables and sorts.  ``free_vars`` of a proposition and
-# ``alpha_key`` of any node are computed on first request and kept on the
-# node with ``object.__setattr__``, outside the dataclass fields, so
-# ``==``, ``hash``, ``repr`` and ``dataclasses.fields`` do not see them.
-# Free variables of terms are not kept: narrowing asks for those of most
-# fresh terms only once.
+# Free variables and sorts.  ``free_vars`` and ``alpha_key`` of a
+# proposition are computed on first request and kept on the node with
+# ``object.__setattr__``, outside the dataclass fields, so ``==``,
+# ``hash``, ``repr`` and ``dataclasses.fields`` do not see them.  Neither
+# is kept on terms: narrowing asks about most fresh terms only once.
 
 
 def free_vars(x: Node) -> frozenset[Var]:
@@ -319,10 +318,8 @@ def fresh_var(base: Var, avoid: set[str]) -> Var:
     return Var(f"{root}_{k}", base.sort)
 
 
-def apply_subst(s: Subst, x: Node, sig: Optional[Signature] = None) -> Node:
+def apply_subst(s: Subst, x: Node) -> Node:
     """Simultaneous capture-avoiding substitution on a term or proposition."""
-    if sig is not None:
-        check_substitution(sig, s)
     if not s:
         return x
     return _subst(s, x)
@@ -373,61 +370,32 @@ def compose(s1: Subst, s2: Subst) -> Subst:
 
 
 # ---------------------------------------------------------------------------
-# Alpha equivalence
+# Alpha equivalence.  ``alpha_key`` is its definition: a bound variable
+# is written as its binder's de Bruijn level, the number of binders
+# enclosing that binder, so shadowing and renaming both disappear from
+# the key.  No other walk numbers binders.  The key of a proposition is
+# computed on first request and kept on the node (see "Free variables");
+# a term's is not kept, the same rule as for free variables.
 
 
 def alpha_eq(a: Node, b: Node) -> bool:
     """Equality up to renaming of bound variables."""
-    return _alpha(a, b, {}, {})
-
-
-def _alpha(a: Node, b: Node, la: dict, lb: dict) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Var):
-        ka, kb = la.get(a), lb.get(b)
-        if ka is None and kb is None:
-            return a == b
-        return ka == kb
-    if isinstance(a, Hole):
-        return a == b
-    if isinstance(a, (App, Atom)):
-        head_a = a.fn if isinstance(a, App) else a.pred
-        head_b = b.fn if isinstance(b, App) else b.pred
-        if head_a != head_b or len(a.args) != len(b.args):
-            return False
-        for x, y in zip(a.args, b.args):
-            if not _alpha(x, y, la, lb):
-                return False
-        return True
-    if isinstance(a, QUANT):
-        if a.var.sort != b.var.sort:
-            return False
-        depth = len(la)
-        la2 = dict(la)
-        lb2 = dict(lb)
-        la2[a.var] = depth
-        lb2[b.var] = depth
-        return _alpha(a.body, b.body, la2, lb2)
-    if isinstance(a, BINARY):
-        return (_alpha(a.left, b.left, la, lb)
-                and _alpha(a.right, b.right, la, lb))
-    return True  # Top / Bottom
+    return a is b or alpha_key(a) == alpha_key(b)
 
 
 def alpha_key(x: Node) -> str:
-    """Canonical string, identical for alpha-equivalent values; computed
-    once per node (see "Free variables")."""
+    """Canonical string, identical exactly for alpha-equivalent values."""
     key = getattr(x, "_alpha_key", None)
     if key is None:
         out: list[str] = []
-        _akey(x, {}, out)
+        _akey(x, {}, 0, out)
         key = "".join(out)
-        object.__setattr__(x, "_alpha_key", key)
+        if not is_term(x):
+            object.__setattr__(x, "_alpha_key", key)
     return key
 
 
-def _akey(x: Node, bound: dict, out: list) -> None:
+def _akey(x: Node, bound: dict, depth: int, out: list) -> None:
     if isinstance(x, Var):
         if x in bound:
             out.append(f"#{bound[x]}")
@@ -435,30 +403,28 @@ def _akey(x: Node, bound: dict, out: list) -> None:
             out.append(f"{x.name}!{x.sort}")
         return
     if isinstance(x, Hole):
-        out.append(f"_!{x.sort}")
+        out.append(f"_:{x.sort}")
         return
     if isinstance(x, (App, Atom)):
         head = x.fn if isinstance(x, App) else x.pred
         out.append(f"({head}" if isinstance(x, App) else f"[{head}")
         for a in x.args:
             out.append(" ")
-            _akey(a, bound, out)
+            _akey(a, bound, depth, out)
         out.append(")" if isinstance(x, App) else "]")
         return
     if isinstance(x, QUANT):
         tag = "forall" if isinstance(x, ForAll) else "exists"
         out.append(f"({tag} {x.var.sort} ")
-        b2 = dict(bound)
-        b2[x.var] = len(bound)
-        _akey(x.body, b2, out)
+        _akey(x.body, {**bound, x.var: depth}, depth + 1, out)
         out.append(")")
         return
     if isinstance(x, BINARY):
         tag = {And: "and", Or: "or", Imp: "imp"}[type(x)]
         out.append(f"({tag} ")
-        _akey(x.left, bound, out)
+        _akey(x.left, bound, depth, out)
         out.append(" ")
-        _akey(x.right, bound, out)
+        _akey(x.right, bound, depth, out)
         out.append(")")
         return
     out.append("top" if isinstance(x, Top) else "bot")

@@ -15,7 +15,7 @@ from typing import Optional
 from .errors import FuelExhausted
 from .rewriting import RewriteSystem, congruent, normalize, _rename_apart
 from .syntax import (
-    App, Atom, Hole, Node, Subst, Var, alpha_key, apply_subst,
+    QUANT, App, Atom, Hole, Node, Subst, Term, Var, apply_subst, children,
     compose, free_vars, is_term, positions, replace_at,
 )
 
@@ -82,25 +82,30 @@ def unify_syntactic(a: Node, b: Node) -> Optional[Subst]:
 
 @dataclass(frozen=True)
 class UnificationProblem:
-    """Pairs to be solved simultaneously modulo a rewrite system.
+    """Term pairs to be solved simultaneously modulo a rewrite system.
 
-    Atom pairs are decomposed into argument pairs up front; pairs whose
-    predicate symbols differ make the problem unsolvable."""
+    Proposition pairs are decomposed into their argument pairs up front;
+    pairs whose shapes or predicate symbols differ make the problem
+    unsolvable.  Binders are refused: no walk below numbers them."""
 
-    pairs: tuple[tuple[Node, Node], ...]
+    pairs: tuple[tuple[Term, Term], ...]
     system: RewriteSystem
 
     @staticmethod
     def of(pairs, system: RewriteSystem) -> Optional["UnificationProblem"]:
-        flat: list[tuple[Node, Node]] = []
-        for l, r in pairs:
-            if isinstance(l, Atom) or isinstance(r, Atom):
-                if (not isinstance(l, Atom) or not isinstance(r, Atom)
-                        or l.pred != r.pred or len(l.args) != len(r.args)):
-                    return None
-                flat.extend(zip(l.args, r.args))
-            else:
+        flat: list[tuple[Term, Term]] = []
+        work = list(pairs)[::-1]
+        while work:
+            l, r = work.pop()
+            if is_term(l) and is_term(r):
                 flat.append((l, r))
+            elif type(l) is not type(r) or isinstance(l, Atom) and (
+                    l.pred != r.pred or len(l.args) != len(r.args)):
+                return None
+            elif isinstance(l, QUANT):
+                raise ValueError("unification under a binder is not supported")
+            else:
+                work.extend(zip(reversed(children(l)), reversed(children(r))))
         return UnificationProblem(tuple(flat), system)
 
 
@@ -116,34 +121,33 @@ class SolutionStream:
     complete: bool
 
 
-def _variant_key(nodes) -> str:
+def _variant_key(terms) -> str:
     """Canonical key identifying states and solutions up to renaming of
-    free variables (first-occurrence numbering).  The walk is not nested:
-    a nested recursive function leaves a reference cycle per call."""
+    free variables (first-occurrence numbering).  Narrowing states hold
+    terms only, so there are no binders to number.  The walk is not
+    nested: a nested recursive function leaves a reference cycle per
+    call."""
     names: dict[Var, str] = {}
     out: list[str] = []
-    for n in nodes:
-        _key_walk(n, names, out)
+    for t in terms:
+        _key_walk(t, names, out)
         out.append(";")
     return "".join(out)
 
 
-def _key_walk(x: Node, names: dict, out: list) -> None:
-    if isinstance(x, Var):
-        if x not in names:
-            names[x] = f"v{len(names)}:{x.sort}"
-        out.append(names[x])
-    elif isinstance(x, Hole):
-        out.append(f"_:{x.sort}")
-    elif isinstance(x, (App, Atom)):
-        head = x.fn if isinstance(x, App) else x.pred
-        out.append(f"({head}")
-        for a in x.args:
+def _key_walk(t: Term, names: dict, out: list) -> None:
+    if isinstance(t, Var):
+        if t not in names:
+            names[t] = f"v{len(names)}:{t.sort}"
+        out.append(names[t])
+    elif isinstance(t, Hole):
+        out.append(f"_:{t.sort}")
+    else:
+        out.append(f"({t.fn}")
+        for a in t.args:
             out.append(" ")
             _key_walk(a, names, out)
         out.append(")")
-    else:
-        out.append(alpha_key(x))
 
 
 def _norm(rs: RewriteSystem, t: Node, fuel: int) -> Node:

@@ -198,8 +198,49 @@ class TestDeepInputs:
         assert out == f"{numeral(2 * k)}\nsteps: {k + 1}\n#verdict: ok\n"
 
     def test_congruent_sum(self, run):
-        code, out, err = run("congruent", "builtin:addition",
-                             f"(plus {numeral(200)} {numeral(200)})",
-                             numeral(400))
-        assert (code, err) == (0, "")
-        assert out == "method: normal-form\n#verdict: yes\n"
+        for k in (200, 400):
+            code, out, err = run("congruent", "builtin:addition",
+                                 f"(plus {numeral(k)} {numeral(k)})",
+                                 numeral(2 * k))
+            assert (code, err) == (0, "")
+            assert out == "method: normal-form\n#verdict: yes\n"
+
+
+class TestShadowedBinders:
+    # Under the inner x of each side, x is bound by the second binder and
+    # y by the third, so the two sides differ.  Reading Q a b as b = a+1
+    # over nat, the hypothesis holds and the goal fails at x = 0.
+    HYP = "(forall (x : nat) (forall (x : nat) ({q} (y : nat) (Q x y))))"
+    GOAL = "(forall (x : nat) (forall (x : nat) ({q} (y : nat) (Q y x))))"
+
+    @pytest.fixture
+    def theory(self, tmp_path):
+        path = tmp_path / "q.thy"
+        path.write_text("sort nat. func 0 : nat. func S : nat -> nat.\n"
+                        "pred Q : nat nat.\n")
+        return str(path)
+
+    @pytest.mark.parametrize("q", ["exists", "forall"])
+    def test_check_rejects_axiom(self, run, theory, tmp_path, q):
+        hyp, goal = self.HYP.format(q=q), self.GOAL.format(q=q)
+        proof = tmp_path / "p.prf"
+        proof.write_text('(axiom "h")')
+        sequent = tmp_path / "s.seq"
+        sequent.write_text(f"h : {hyp} |- {goal}")
+        code, out, err = run("check", theory, str(proof), str(sequent))
+        assert (code, err) == (1, "")
+        assert out == (f"at []: concluded {hyp}, which is not congruent "
+                       f"to {goal}\n#verdict: invalid\n")
+
+    @pytest.mark.parametrize("q", ["exists", "forall"])
+    def test_not_congruent(self, run, theory, q):
+        code, out, err = run("congruent", theory, self.HYP.format(q=q),
+                             self.GOAL.format(q=q))
+        assert (code, err) == (1, "")
+        assert out == "method: normal-form\n#verdict: no\n"
+
+    def test_implication_not_proved(self, run, theory):
+        hyp, goal = self.HYP.format(q="exists"), self.GOAL.format(q="exists")
+        code, out, _ = run("prove", theory, f"(imp {hyp} {goal})")
+        assert "proved" not in out
+        assert code != 0

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module,
-and every parameter of every function is read in its body.
+every parameter of every function is read in its body, and every
+module-level private function is referred to somewhere in the package.
 
 No linter ships with the project, so this walks each module's syntax
 tree instead.  ``__init__.py`` is left out of the import check: it
@@ -74,3 +75,50 @@ def test_checker_sees_unread_parameter():
               "    return g\n")
     assert sorted(unread_parameters(source)) == [
         "line 2: m(b)", "line 2: m(c)", "line 5: f(x)"]
+
+
+def orphaned_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions of ``{module: source}`` that no code
+    refers to, except their own body (a name, an attribute or an import)."""
+    refs: dict[str, set] = {}   # name -> {(module, top-level owner)}
+    defs = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = getattr(stmt, "name", None)
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and owner.startswith("_") and not owner.startswith("__")):
+                defs.append((owner, module))
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Name):
+                    names = [n.id]
+                elif isinstance(n, ast.Attribute):
+                    names = [n.attr]
+                elif isinstance(n, ast.ImportFrom):
+                    names = [a.name for a in n.names]
+                else:
+                    continue
+                for name in names:
+                    refs.setdefault(name, set()).add((module, owner))
+    return [f"{module}: {name}" for name, module in defs
+            if refs.get(name, set()) - {(module, name)} == set()]
+
+
+def test_every_private_function_is_used():
+    sources = {p.name: p.read_text() for p in SOURCES}
+    assert orphaned_helpers(sources) == []
+
+
+def test_checker_sees_orphaned_helper():
+    sources = {
+        "a.py": ("def _orphan():\n    pass\n"
+                 "def _self_only(n):\n    return _self_only(n - 1)\n"
+                 "def _called():\n    pass\n"
+                 "def _imported():\n    pass\n"
+                 "def _by_attribute():\n    pass\n"
+                 "def __dunder__():\n    pass\n"
+                 "def public():\n    return _called()\n"),
+        "b.py": ("from .a import _imported\n"
+                 "import a\n"
+                 "X = a._by_attribute\n"),
+    }
+    assert orphaned_helpers(sources) == ["a.py: _orphan", "a.py: _self_only"]

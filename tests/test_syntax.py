@@ -1,8 +1,9 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from demod import (
     And, App, Atom, BOT, Exists, ForAll, Imp, Or, TOP, Var, alpha_eq,
@@ -99,6 +100,76 @@ class TestSubstitution:
         assert f.sort == "nat"
 
 
+# Random propositions whose binders share a two-name pool, so that
+# shadowing and capture occur, judged against a de Bruijn conversion.
+
+
+def quantified(prefix, body):
+    for q, name in reversed(prefix):
+        body = q(v(name), body)
+    return body
+
+
+_terms = st.recursive(
+    st.one_of(st.just(App("0")), st.sampled_from("xyz").map(v)),
+    lambda t: t.map(lambda a: App("S", (a,))), max_leaves=2)
+_props = st.recursive(
+    st.one_of(st.just(TOP),
+              st.builds(lambda a, b: Atom("Q", (a, b)), _terms, _terms)),
+    lambda p: st.one_of(
+        st.builds(quantified,
+                  st.lists(st.tuples(st.sampled_from(QUANT),
+                                     st.sampled_from("xy")),
+                           min_size=1, max_size=3), p),
+        st.builds(lambda c, l, r: c(l, r),
+                  st.sampled_from((And, Imp)), p, p)),
+    max_leaves=4)
+
+
+def de_bruijn(x, env=()):
+    """Nameless form: a bound variable is the index of its binder,
+    counted from the innermost one; ``env`` lists the binders in scope,
+    innermost first."""
+    if isinstance(x, Var):
+        return ("bound", env.index(x)) if x in env else ("free", x)
+    if isinstance(x, (App, Atom)):
+        head = x.fn if isinstance(x, App) else x.pred
+        return (type(x).__name__, head,
+                tuple(de_bruijn(a, env) for a in x.args))
+    if isinstance(x, QUANT):
+        return (type(x).__name__, x.var.sort,
+                de_bruijn(x.body, (x.var,) + env))
+    if isinstance(x, (And, Or, Imp)):
+        return (type(x).__name__, de_bruijn(x.left, env),
+                de_bruijn(x.right, env))
+    return type(x).__name__
+
+
+def rename_binders(x, names, env=None):
+    """Every binder renamed to the next of ``names``, and its bound
+    occurrences with it; free variables are kept, so a reused name may
+    capture one."""
+    env = env or {}
+    if isinstance(x, Var):
+        return env.get(x, x)
+    if isinstance(x, (App, Atom)):
+        return type(x)(x.fn if isinstance(x, App) else x.pred,
+                       tuple(rename_binders(a, names, env) for a in x.args))
+    if isinstance(x, QUANT):
+        y = Var(next(names), x.var.sort)
+        return type(x)(y, rename_binders(x.body, names, {**env, x.var: y}))
+    if isinstance(x, (And, Or, Imp)):
+        return type(x)(rename_binders(x.left, names, env),
+                       rename_binders(x.right, names, env))
+    return x
+
+
+def shadowed_pair():
+    x, y = v("x"), v("y")
+    return (ForAll(x, ForAll(x, Exists(y, Atom("Q", (x, y))))),
+            ForAll(x, ForAll(x, Exists(y, Atom("Q", (y, x))))))
+
+
 class TestAlpha:
     def test_renamed_binders_equal(self):
         x, y = v("x"), v("y")
@@ -110,12 +181,37 @@ class TestAlpha:
     def test_free_variables_distinguish(self):
         assert not alpha_eq(Atom("P", (v("x"),)), Atom("P", (v("y"),)))
 
-    def test_random_rename_invariance(self, rng, sig):
-        for _ in range(100):
-            p = random_prop(rng, sig, 3)
-            # renaming all quantified variables consistently is invisible
-            assert alpha_eq(p, p)
-            assert alpha_key(p) == alpha_key(p)
+    def test_shadowed_binders(self):
+        # under the inner x, x is the second binder and y the third
+        a, b = shadowed_pair()
+        assert not alpha_eq(a, b)
+        assert alpha_key(a) != alpha_key(b)
+
+    def test_hole_is_not_a_variable(self):
+        a, b = Atom("P", (v("_"),)), Atom("P", (Hole("nat"),))
+        assert not alpha_eq(a, b)
+        assert alpha_key(a) != alpha_key(b)
+
+    @given(_props, _props)
+    @example(*shadowed_pair())
+    @settings(max_examples=300)
+    def test_agrees_with_de_bruijn(self, a, b):
+        same = de_bruijn(a) == de_bruijn(b)
+        assert alpha_eq(a, b) == same
+        assert (alpha_key(a) == alpha_key(b)) == same
+
+    @given(_props, st.lists(st.sampled_from("xyz"), min_size=1, max_size=4))
+    @settings(max_examples=300)
+    def test_random_rename_invariance(self, p, pool):
+        # fresh names keep the proposition alpha-equivalent
+        fresh = rename_binders(p, (f"b{i}" for i in itertools.count()))
+        assert alpha_eq(p, fresh)
+        assert alpha_key(p) == alpha_key(fresh)
+        # reused names may capture; then both must see the difference
+        reused = rename_binders(p, itertools.cycle(pool))
+        same = de_bruijn(p) == de_bruijn(reused)
+        assert alpha_eq(p, reused) == same
+        assert (alpha_key(p) == alpha_key(reused)) == same
 
 
 class TestTraversal:

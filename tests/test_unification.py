@@ -1,9 +1,9 @@
 import pytest
 
 from demod import (
-    App, Atom, SolutionStream, UnificationProblem, Var, alpha_eq,
-    apply_subst, congruent, load_builtin, narrow_unify, print_node,
-    unify_syntactic,
+    And, App, Atom, BOT, ForAll, Imp, SolutionStream, TOP,
+    UnificationProblem, Var, alpha_eq, apply_subst, congruent, load_builtin,
+    narrow_unify, print_node, unify_syntactic,
 )
 from demod.parsing import parse_term
 
@@ -66,6 +66,26 @@ class TestProblemConstruction:
             [(Atom("P", (v("x", "elem"),)), Atom("Q", (v("x", "elem"),)))],
             assoc.system)
         assert p is None
+
+    def test_connectives_decomposed(self, addition):
+        # narrowing states hold terms only
+        x, zero = v("x"), App("0")
+        sum0 = App("plus", (zero, zero))
+        p = UnificationProblem.of(
+            [(And(TOP, Imp(Atom("P", (x,)), BOT)),
+              And(TOP, Imp(Atom("P", (sum0,)), BOT)))], addition.system)
+        assert p.pairs == ((x, sum0),)
+        assert narrow_unify(p).solutions == ({x: zero},)
+
+    def test_shape_mismatch_unsolvable(self, addition):
+        p = UnificationProblem.of([(And(TOP, TOP), Imp(TOP, TOP))],
+                                  addition.system)
+        assert p is None
+
+    def test_binders_refused(self, addition):
+        a = ForAll(v("x"), Atom("P", (v("x"),)))
+        with pytest.raises(ValueError, match="under a binder"):
+            UnificationProblem.of([(a, a)], addition.system)
 
 
 class TestNarrowing:
