@@ -98,7 +98,7 @@ def _cmd_unify(args) -> int:
     theory = _load_theory(args.theory)
     a = parse_node(args.left, theory.signature)
     b = parse_node(args.right, theory.signature)
-    problem = UnificationProblem.of([(a, b)], theory.system)
+    problem = UnificationProblem.of([(a, b)], theory.system, args.fuel)
     if problem is None:
         return _verdict("no", ["the two sides can never unify"])
     stream = narrow_unify(problem, depth=args.depth, cap=args.cap,

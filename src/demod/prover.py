@@ -20,7 +20,7 @@ from .kernel import (
 )
 from .rewriting import DEFAULT_FUEL
 from .syntax import (
-    And, Atom, BOT, Bottom, Exists, ForAll, Imp, Or, Proposition, Subst,
+    And, BOT, Bottom, Exists, ForAll, Imp, Or, Proposition, Subst,
     Top, Var, alpha_key, apply_subst, compose, free_vars, wellformed,
 )
 from .theories import Theory
@@ -115,7 +115,13 @@ class _Search:
     def close(self, hyp: Proposition, goal: Proposition,
               s: Subst) -> Iterator[Subst]:
         """Ways of making hypothesis and goal congruent, possibly
-        instantiating metavariables."""
+        instantiating metavariables.  Both are exposed, so when their
+        heads differ only a proposition rule can still make them
+        congruent.  That is tried only in a system not known to be
+        convergent: narrowing rewrites terms, not atoms."""
+        if type(hyp) is not type(goal) and (self.rs.convergent
+                                            or not self.rs.prop_rules):
+            return
         if not _has_meta(hyp) and not _has_meta(goal):
             try:
                 if self.session.congruent(hyp, goal):
@@ -123,10 +129,12 @@ class _Search:
             except FuelExhausted:
                 self.hit_bound = True
             return
-        pairs = _structural_pairs(hyp, goal)
-        if pairs is None:
+        try:
+            problem = UnificationProblem.of([(hyp, goal)], self.rs, self.fuel)
+        except ValueError:
+            # binders, which the search decomposes first, or shapes that
+            # only a proposition rule could bridge
             return
-        problem = UnificationProblem.of(pairs, self.rs)
         if problem is None:
             return
         self.stats.narrowing_calls += 1
@@ -258,27 +266,6 @@ class _Search:
                                         goal, depth - 1, s):
                     yield Proof("exists_e", (use, p),
                                 label=lb, eigen=y), s1
-
-
-def _structural_pairs(a: Proposition, b: Proposition):
-    """Decompose two propositions of identical shape into atom pairs;
-    None on shape mismatch.  Quantified formulas are not unified here --
-    the search decomposes them first."""
-    if isinstance(a, Atom) and isinstance(b, Atom):
-        return [(a, b)]
-    if type(a) is not type(b):
-        return None
-    if isinstance(a, (Top, Bottom)):
-        return []
-    if isinstance(a, (And, Or, Imp)):
-        l = _structural_pairs(a.left, b.left)
-        if l is None:
-            return None
-        r = _structural_pairs(a.right, b.right)
-        if r is None:
-            return None
-        return l + r
-    return None  # quantifiers
 
 
 def _resolve_metas(proof: Proof, s: Subst, counter: list) -> Proof:

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FuelExhausted
-from .rewriting import RewriteSystem, congruent, normalize, _rename_apart
+from .rewriting import (
+    DEFAULT_FUEL, RewriteSystem, congruent, normalize, _rename_apart,
+)
 from .syntax import (
-    QUANT, App, Atom, Hole, Node, Subst, Term, Var, apply_subst, children,
+    BINARY, QUANT, App, Atom, Hole, Node, Subst, Term, Var, apply_subst,
     compose, free_vars, is_term, positions, replace_at,
 )
 
@@ -84,28 +86,58 @@ def unify_syntactic(a: Node, b: Node) -> Optional[Subst]:
 class UnificationProblem:
     """Term pairs to be solved simultaneously modulo a rewrite system.
 
-    Proposition pairs are decomposed into their argument pairs up front;
-    pairs whose shapes or predicate symbols differ make the problem
-    unsolvable.  Binders are refused: no walk below numbers them."""
+    Proposition pairs are decomposed into their argument pairs up front.
+    An atom is normalized first when the system is convergent and has
+    proposition rules, so such a rule has fired before shapes are
+    compared.  Pairs whose shapes or predicate symbols still differ make
+    the problem unsolvable, unless one side is an atom that a
+    proposition rule could still rewrite (the system is not convergent,
+    or an instance of the pair could be rewritten): that case, and
+    binders, are refused, because narrowing rewrites terms only and no
+    walk below numbers binders."""
 
     pairs: tuple[tuple[Term, Term], ...]
     system: RewriteSystem
 
     @staticmethod
-    def of(pairs, system: RewriteSystem) -> Optional["UnificationProblem"]:
+    def of(pairs, system: RewriteSystem,
+           fuel: int = DEFAULT_FUEL) -> Optional["UnificationProblem"]:
         flat: list[tuple[Term, Term]] = []
-        work = list(pairs)[::-1]
+        work = list(pairs)
+        work.reverse()
+        normal = system.prop_rules and system.convergent
         while work:
             l, r = work.pop()
-            if is_term(l) and is_term(r):
-                flat.append((l, r))
-            elif type(l) is not type(r) or isinstance(l, Atom) and (
-                    l.pred != r.pred or len(l.args) != len(r.args)):
-                return None
-            elif isinstance(l, QUANT):
+            if normal:
+                if isinstance(l, Atom):
+                    l = normalize(system, l, fuel).value
+                if isinstance(r, Atom):
+                    r = normalize(system, r, fuel).value
+            kind = type(l)
+            if kind is not type(r):
+                if is_term(l) and is_term(r):
+                    flat.append((l, r))
+                    continue
+            elif kind is Atom:
+                if l.pred == r.pred and len(l.args) == len(r.args):
+                    flat.extend(zip(l.args, r.args))
+                    continue
+            elif kind in BINARY:
+                work += ((l.right, r.right), (l.left, r.left))
+                continue
+            elif kind in QUANT:
                 raise ValueError("unification under a binder is not supported")
             else:
-                work.extend(zip(reversed(children(l)), reversed(children(r))))
+                if is_term(l):
+                    flat.append((l, r))
+                continue  # two terms, or top/bottom against itself
+            # the shapes or the predicate symbols differ
+            if system.prop_rules and (kind is Atom or type(r) is Atom) and (
+                    not system.convergent or free_vars(l) or free_vars(r)):
+                raise ValueError("the sides differ in shape, and "
+                                 "unification through proposition rules "
+                                 "is not supported")
+            return None
         return UnificationProblem(tuple(flat), system)
 
 

@@ -62,6 +62,34 @@ class TestUnify:
         assert code == 1
         assert verdict(out) == "no"
 
+    @pytest.mark.parametrize("theory, left, right", [
+        # P rewrites to (and A B)
+        ("builtin:def-conj", "(imp P bot)", "(imp (and A B) bot)"),
+        # (P (f x)) rewrites to (P x)
+        ("builtin:pf-collapse", "(imp (P (f x:iota)) bot)",
+         "(imp (P x:iota) bot)"),
+    ])
+    def test_propositions_normalized_first(self, run, theory, left, right):
+        # the sides are congruent as they are
+        code, out, err = run("unify", theory, left, right)
+        assert (code, err) == (0, "")
+        assert out == "solution 0: {}\ncomplete: yes\n#verdict: yes\n"
+
+    def test_normal_forms_differ(self, run):
+        code, out, err = run("unify", "builtin:def-conj",
+                             "(imp P bot)", "(imp (and A A) bot)")
+        assert (code, err) == (1, "")
+        assert out == "the two sides can never unify\n#verdict: no\n"
+
+    def test_proposition_rule_not_convergent(self, run):
+        # P ~> (imp P Q) does not terminate, yet P and (imp P Q) are
+        # congruent: a definite "no" would be wrong
+        code, out, err = run("unify", "builtin:crabbe", "P", "(imp P Q)")
+        assert code == 2
+        assert err == ("error: the sides differ in shape, and unification "
+                       "through proposition rules is not supported\n")
+        assert out == "#verdict: error\n"
+
 
 class TestCheckAndCuts:
     def test_check_corpus_proof(self, run):
@@ -241,6 +269,6 @@ class TestShadowedBinders:
 
     def test_implication_not_proved(self, run, theory):
         hyp, goal = self.HYP.format(q="exists"), self.GOAL.format(q="exists")
-        code, out, _ = run("prove", theory, f"(imp {hyp} {goal})")
-        assert "proved" not in out
-        assert code != 0
+        code, out, err = run("prove", theory, f"(imp {hyp} {goal})")
+        assert (code, err) == (2, "")
+        assert out == "nodes: 10771\n#verdict: bound-exceeded\n"

@@ -77,6 +77,21 @@ class TestProblemConstruction:
         assert p.pairs == ((x, sum0),)
         assert narrow_unify(p).solutions == ({x: zero},)
 
+    def test_proposition_rule_fires_before_decomposition(self):
+        # def-conj rewrites P to (and A B)
+        p = UnificationProblem.of(
+            [(Imp(Atom("P"), BOT), Imp(And(Atom("A"), Atom("B")), BOT))],
+            load_builtin("def-conj").system)
+        assert p.pairs == ()
+        assert narrow_unify(p).solutions == ({},)
+
+    def test_proposition_rule_may_bridge_shapes(self):
+        # an instance of (P x) might rewrite, so "never" cannot be said
+        pf = load_builtin("pf-collapse")
+        x = v("x", "iota")
+        with pytest.raises(ValueError, match="proposition rules"):
+            UnificationProblem.of([(Atom("P", (x,)), BOT)], pf.system)
+
     def test_shape_mismatch_unsolvable(self, addition):
         p = UnificationProblem.of([(And(TOP, TOP), Imp(TOP, TOP))],
                                   addition.system)
