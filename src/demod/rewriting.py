@@ -17,7 +17,7 @@ from .errors import FuelExhausted, RuleError
 from .syntax import (
     App, Atom, BINARY, Bottom, ForAll, Hole, Node, Position, Subst, Top, Var,
     alpha_eq, alpha_key, apply_subst, children, free_vars, fresh_var,
-    is_term, positions, print_node, replace_at, subterm_at, with_children,
+    is_term, positions, print_node, replace_at, with_children,
 )
 
 DEFAULT_FUEL = 10000
@@ -61,9 +61,11 @@ class RewriteSystem:
     system is convergent.  Only a Theory records ``convergent``, from its
     validation report; a system built by hand is never taken as convergent.
 
-    Built once with the system, for every redex and narrowing search:
-    ``by_head`` (the rules by the head symbol of their left-hand sides,
-    in order), ``term_rules`` and ``prop_rules``."""
+    Built once with the system: ``by_head``, the rules by the head symbol
+    of their left-hand sides, in rule order, and ``prop_rules``.  Every
+    place that pairs rules with nodes takes its rules from ``by_head``:
+    redex search and normalization, narrowing steps, critical pairs and
+    non-confusion."""
 
     rules: tuple[RewriteRule, ...] = ()
     asserted_terminating: bool = False
@@ -80,7 +82,6 @@ class RewriteSystem:
         init = object.__setattr__   # a frozen instance refuses setattr
         init(self, "rules", rules)
         init(self, "by_head", by_head)
-        init(self, "term_rules", tuple(r for r in rules if r.is_term_rule))
         init(self, "prop_rules", tuple(r for r in rules if not r.is_term_rule))
 
 
@@ -341,26 +342,34 @@ def _rename_apart(rule: RewriteRule, avoid: set[str]) -> RewriteRule:
 def critical_pairs(rs: RewriteSystem) -> list[CriticalPair]:
     """All overlaps between renamed-apart rule pairs at non-variable
     positions; the trivial root self-overlap of a rule with itself is
-    excluded."""
+    excluded.
+
+    The pairs come by outer rule, then inner rule, both in rule order,
+    then by position, outermost first.  An outer rule's inner rules are
+    the ``by_head`` rules of the head symbols in its left-hand side, and
+    each is tried only at the spots whose head it shares: a proposition
+    rule at the root atom, a term rule at an application."""
     from .unification import unify_syntactic
 
+    order = {r.name: i for i, r in enumerate(rs.rules)}
     out = []
     for outer in rs.rules:
+        spots_of: dict[str, list] = {}
+        for pos, node in positions(outer.lhs):
+            if isinstance(node, (App, Atom)):
+                spots_of.setdefault(_head(node), []).append((pos, node))
+        inners = sorted((order[r.name], r) for head in spots_of
+                        for r in rs.by_head.get(head, ()))
         avoid = {v.name for v in free_vars(outer.lhs)}
-        for inner_orig in rs.rules:
+        for _, inner_orig in inners:
+            lhs = inner_orig.lhs
+            spots = [(pos, node) for pos, node in spots_of[_head(lhs)]
+                     if type(node) is type(lhs)
+                     and not (pos == () and inner_orig is outer)]
+            if not spots:
+                continue
             inner = _rename_apart(inner_orig, avoid)
-            if not inner.is_term_rule and not outer.is_term_rule:
-                spots = [()] if inner_orig is not outer else []
-            elif inner.is_term_rule:
-                spots = [pos for pos, node in positions(outer.lhs)
-                         if isinstance(node, App)
-                         and not (pos == () and inner_orig is outer)]
-                if not outer.is_term_rule:
-                    spots = [p for p in spots if p != ()]
-            else:
-                continue  # proposition lhs never occurs inside a term
-            for pos in spots:
-                sub = subterm_at(outer.lhs, pos)
+            for pos, sub in spots:
                 mgu = unify_syntactic(sub, inner.lhs)
                 if mgu is None:
                     continue
@@ -493,17 +502,32 @@ def check_termination_lpo(rs: RewriteSystem, precedence: list[str]) -> bool:
 
 def check_nonconfusing(rs: RewriteSystem) -> bool:
     """Sufficient syntactic criterion: no two proposition rules with
-    overlapping left-hand sides expose different head connectives."""
+    overlapping left-hand sides expose different head connectives.  Only
+    rules on one predicate can overlap; an atom reduct exposes what the
+    rules on its predicate can expose."""
     from .unification import unify_syntactic
-    prop_rules = rs.prop_rules
-    for i, r1 in enumerate(prop_rules):
-        for r2 in prop_rules[i + 1:]:
-            a = _rename_apart(r1, {v.name for v in free_vars(r2.lhs)})
-            if unify_syntactic(a.lhs, r2.lhs) is None:
-                continue
-            h1, h2 = a.rhs, r2.rhs
-            if isinstance(h1, Atom) or isinstance(h2, Atom):
-                continue  # an atom reduct never clashes on its head
-            if type(h1) is not type(h2):
-                return False
+    for bucket in rs.by_head.values():
+        props = [r for r in bucket if not r.is_term_rule]
+        for i, r1 in enumerate(props):
+            for r2 in props[i + 1:]:
+                a = _rename_apart(r1, {v.name for v in free_vars(r2.lhs)})
+                if unify_syntactic(a.lhs, r2.lhs) is None:
+                    continue
+                if len(_exposed(rs, r1.rhs) | _exposed(rs, r2.rhs)) > 1:
+                    return False
     return True
+
+
+def _exposed(rs: RewriteSystem, x: Node) -> set[type]:
+    """The connectives that root rewriting can expose in ``x``: an atom
+    exposes those of the proposition rules on its predicate, if any."""
+    out, seen, todo = set(), set(), [x]
+    while todo:
+        x = todo.pop()
+        if not isinstance(x, Atom):
+            out.add(type(x))
+        elif x.pred not in seen:
+            seen.add(x.pred)
+            todo.extend(r.rhs for r in rs.by_head.get(x.pred, ())
+                        if not r.is_term_rule)
+    return out

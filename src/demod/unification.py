@@ -222,7 +222,6 @@ def narrow_unify(problem: UnificationProblem, depth: int = 8,
     solutions: list[Subst] = []
     seen_solutions: set[str] = set()
     complete = True
-    rules = rs.term_rules
 
     while queue:
         pairs, acc, d = queue.popleft()
@@ -239,11 +238,10 @@ def narrow_unify(problem: UnificationProblem, depth: int = 8,
         # expand: one narrowing step at any non-variable position; a
         # state at the depth bound only needs to know that it has one
         sides = [(t, free_vars(t)) for pair in pairs for t in pair]
-        steps = _narrowing_steps(rules, sides)
-        if not steps:
-            continue
+        steps = _narrowing_steps(rs.by_head, sides)
         if d >= depth:
-            complete = False
+            if next(steps, None) is not None:
+                complete = False
             continue
         for k, pos, rhs, u in steps:
             # side k narrowed, every side instantiated; a side with no
@@ -262,21 +260,27 @@ def narrow_unify(problem: UnificationProblem, depth: int = 8,
     return SolutionStream(tuple(solutions), complete)
 
 
-def _narrowing_steps(rules, sides):
-    """Every way to unify a rule lhs with a non-variable subterm of a
-    side: (side index, position, renamed rhs, unifier).  ``sides`` are
-    the terms of the pair list, each with its free variables."""
+def _narrowing_steps(by_head, sides):
+    """Every way to unify a term rule's lhs with a non-variable subterm of
+    a side with the same head, in the order of sides, positions and
+    rules: (side index, position, renamed rhs, unifier).  ``sides`` are
+    the terms of the pair list, each with its free variables.  A rule is
+    renamed apart from them when it first meets such a subterm."""
     avoid = {v.name for _, vs in sides for v in vs}
-    renamed = [_rename_apart(rule, avoid) for rule in rules]
-    out = []
+    renamed = {}
     for k, (tree, _) in enumerate(sides):
         for pos, node in positions(tree):
-            if isinstance(node, App):
-                for ren in renamed:
-                    u = unify_syntactic(node, ren.lhs)
-                    if u is not None:
-                        out.append((k, pos, ren.rhs, u))
-    return out
+            if not isinstance(node, App):
+                continue
+            for rule in by_head.get(node.fn, ()):
+                if not rule.is_term_rule:
+                    continue
+                ren = renamed.get(rule.name)
+                if ren is None:
+                    ren = renamed[rule.name] = _rename_apart(rule, avoid)
+                u = unify_syntactic(node, ren.lhs)
+                if u is not None:
+                    yield k, pos, ren.rhs, u
 
 
 def _verified(problem: UnificationProblem, sol: Subst, fuel: int) -> bool:

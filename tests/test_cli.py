@@ -155,6 +155,16 @@ class TestValidateAndSubformulae:
         assert code == 0
         assert "termination: lpo" in out
 
+    def test_validate_confusing_atom_chain(self, run, tmp_path):
+        # P ~> Q ~> (and A B) and P ~> (or A B): P is both
+        thy = tmp_path / "chain.thy"
+        thy.write_text("pred A. pred B. pred Q. pred P. rule r1: P ~> Q. "
+                       "rule r2: Q ~> (and A B). rule r3: P ~> (or A B).\n")
+        assert run("validate", str(thy)) == (1, (
+            "lhs shapes ok: yes\nnon-confusing: NO\ncritical pairs: 2\n"
+            "locally confluent: NO\ntermination: lpo\n#verdict: invalid\n"),
+            "")
+
     def test_validate_builtin_notes(self, run):
         code, out, _ = run("validate", "builtin:crabbe")
         assert code == 0

@@ -16,8 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 import demod
 from demod import (
-    App, Atom, FuelExhausted, UnificationProblem, Var, load_builtin,
-    narrow_unify, normalize, unify_syntactic,
+    And, App, Atom, BOT, Imp, Or, RewriteRule, RewriteSystem, TOP, Theory,
+    UnificationProblem, Var, check_nonconfusing, check_termination_lpo,
+    critical_pairs, free_vars, load_builtin, make_signature, narrow_unify,
+    normalize, print_node, unify_syntactic,
 )
 from demod.syntax import children, positions
 
@@ -121,8 +123,7 @@ def test_unify_hand_picked_cases_match_reference():
 # Narrowing: the same solutions, in the same order, and the same flag
 
 
-def _narrow_both(name, a, b, depth, cap=4):
-    theory, ref = load_builtin(name), ref_theory(name)
+def _narrow_both(theory, ref, a, b, depth, cap=4):
     got = narrow_unify(UnificationProblem.of([(a, b)], theory.system),
                        depth=depth, cap=cap)
     want = refdemod.narrow_unify(
@@ -141,26 +142,128 @@ def test_narrow_unify_matches_reference(name, sort, seed, depth):
     pool = tuple(Var(n, sort) for n in ("x", "y", "z"))
     a = random_term(rng, sig, sort, rng.randrange(1, 4), pool)
     b = random_term(rng, sig, sort, rng.randrange(1, 4), pool)
-    got, want = _narrow_both(name, a, b, depth)
+    got, want = _narrow_both(*_theories(name), a, b, depth)
     assert [printed(s) for s in got.solutions] \
         == [printed(s) for s in want.solutions]
     assert got.complete == want.complete
 
 
-@pytest.mark.parametrize("name,left,right,depth", [
-    ("assoc", "(plus a x:elem)", "(plus (plus a b) c)", 4),
+# Narrowing (f x y) against c takes two steps, x -> a and then y -> b, and
+# the one state two steps deep is (c, c), which no rule narrows: at depth
+# 2 the search is complete although that state lies at the bound.
+TWO_STEPS = """sort s.
+func a : s. func b : s. func c : s.
+func f : s s -> s. func g : s -> s.
+rule fa: (f a y) ~> (g y).
+rule gb: (g b) ~> c.
+"""
+
+
+def _theories(name):
+    if name != "two-steps":
+        return load_builtin(name), ref_theory(name)
+    ref = refdemod.parse_theory(TWO_STEPS)
+    refdemod.validate_theory(ref)
+    return demod.parsing.parse_theory(TWO_STEPS), ref
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+@pytest.mark.parametrize("name,left,right", [
+    ("assoc", "(plus a x:elem)", "(plus (plus a b) c)"),
     # both sides share a variable that a narrowing step binds
-    ("addition", "(plus x:nat z:nat)", "x:nat", 1),
-    ("addition", "(S x:nat)", "(plus x:nat z:nat)", 4),
+    ("addition", "(plus x:nat z:nat)", "x:nat"),
+    ("addition", "(S x:nat)", "(plus x:nat z:nat)"),
+    ("two-steps", "(f x:s y:s)", "c"),
 ])
 def test_narrowing_goldens_match_reference(name, left, right, depth):
-    sig = load_builtin(name).signature
-    a = demod.parsing.parse_term(left, sig)
-    b = demod.parsing.parse_term(right, sig)
-    got, want = _narrow_both(name, a, b, depth=depth, cap=16)
+    theory, ref = _theories(name)
+    a = demod.parsing.parse_term(left, theory.signature)
+    b = demod.parsing.parse_term(right, theory.signature)
+    got, want = _narrow_both(theory, ref, a, b, depth=depth, cap=16)
     assert [printed(s) for s in got.solutions] \
         == [printed(s) for s in want.solutions]
     assert got.complete == want.complete
+    if name == "two-steps":
+        assert got.complete == (depth >= 2)
+        assert len(got.solutions) == (depth >= 2)
+
+
+# ---------------------------------------------------------------------------
+# Validation: the same critical pairs in the same order, the same
+# non-confusion verdict and the same report lines
+
+VAL_SIG = make_signature(
+    ["s"], {"a": ([], "s"), "b": ([], "s"), "g": (["s"], "s"),
+            "f": (["s", "s"], "s")},
+    {"P": ["s"], "Q": ["s"], "R": ["s"]})
+VAL_VARS = tuple(Var(n, "s") for n in "xyz")
+VAL_PRECEDENCE = [*VAL_SIG.functions, *VAL_SIG.predicates]
+
+
+def random_system(rng):
+    """Two to five rules over few head symbols, so that left-hand sides
+    share heads and overlap: term rules on f or g, proposition rules on
+    P or Q.  An atom reduct is on R, which no rule rewrites: there the
+    reference's non-confusion criterion is sound, and demod's must agree
+    with it."""
+    rules = []
+    for i in range(rng.randrange(2, 6)):
+        if rng.random() < 0.6:
+            fn = rng.choice("fg")
+            lhs = App(fn, tuple(
+                random_term(rng, VAL_SIG, "s", rng.randrange(3), VAL_VARS)
+                for _ in VAL_SIG.functions[fn][0]))
+        else:
+            lhs = Atom(rng.choice("PQ"), (
+                random_term(rng, VAL_SIG, "s", rng.randrange(3), VAL_VARS),))
+        pool = tuple(sorted(free_vars(lhs), key=lambda v: v.name))
+        arg = lambda: random_term(rng, VAL_SIG, "s", rng.randrange(3), pool)
+        if isinstance(lhs, App):
+            rhs = arg()
+        else:
+            sub = lambda: Atom(rng.choice("PQR"), (arg(),))
+            rhs = rng.choice([Atom("R", (arg(),)), TOP, BOT, And(sub(), sub()),
+                              Or(sub(), sub()), Imp(sub(), sub())])
+        rules.append(RewriteRule(f"r{i}", lhs, rhs))
+    return RewriteSystem(rules)
+
+
+def printed_pairs(pairs, show=print_node):
+    return [(show(cp.peak), show(cp.left), show(cp.right), cp.position,
+             cp.inner_rule, cp.outer_rule) for cp in pairs]
+
+
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_validation_matches_reference(seed):
+    rs = random_system(random.Random(seed))
+    ref_rs = refdemod.RewriteSystem([
+        refdemod.RewriteRule(r.name, to_ref(r.lhs), to_ref(r.rhs))
+        for r in rs.rules])
+    assert printed_pairs(critical_pairs(rs)) \
+        == printed_pairs(refdemod.critical_pairs(ref_rs), refdemod.print_node)
+    assert check_nonconfusing(rs) == refdemod.check_nonconfusing(ref_rs)
+    # a looping system can grow a critical pair's reduct past the
+    # recursion limit within the default fuel: report on terminating ones
+    if check_termination_lpo(rs, VAL_PRECEDENCE):
+        sig = refdemod.make_signature(VAL_SIG.sorts, VAL_SIG.functions,
+                                      VAL_SIG.predicates)
+        assert Theory("random", VAL_SIG, rs).report.lines() \
+            == refdemod.validate_theory(
+                refdemod.Theory("random", sig, ref_rs)).lines()
+
+
+def test_random_systems_have_critical_pairs():
+    # every builtin, corpus and benchmark theory together has only two
+    systems = [random_system(random.Random(seed)) for seed in range(200)]
+    with_pairs = [rs for rs in systems if critical_pairs(rs)]
+    assert len(with_pairs) >= 100
+    # an outer rule with overlaps by two inner rules: their order shows
+    assert sum(len({(cp.outer_rule, cp.inner_rule)
+                    for cp in critical_pairs(rs)})
+               > len({cp.outer_rule for cp in critical_pairs(rs)})
+               for rs in with_pairs) >= 20
+    assert not all(check_nonconfusing(rs) for rs in systems)
 
 
 # ---------------------------------------------------------------------------

@@ -200,3 +200,18 @@ class TestNonConfusing:
             RewriteRule("r2", Atom("P"), Atom("Q")),
         ])
         assert check_nonconfusing(rs)
+
+    def test_atom_reduct_followed_to_its_connective(self):
+        # P ~> Q ~> (and A B) and P ~> (or A B): P is both
+        from demod import And, Or
+        a_b = (Atom("A"), Atom("B"))
+        rs = RewriteSystem([
+            RewriteRule("r1", Atom("P"), Atom("Q")),
+            RewriteRule("r2", Atom("Q"), And(*a_b)),
+            RewriteRule("r3", Atom("P"), Or(*a_b)),
+        ])
+        assert not check_nonconfusing(rs)
+        # the same connective at the end of the chain is no clash
+        agree = RewriteSystem([*rs.rules[:2],
+                               RewriteRule("r3", Atom("P"), And(*a_b))])
+        assert check_nonconfusing(agree)

@@ -8,7 +8,9 @@ from demod import (
     search_proof, subformula_closure, validate_theory,
 )
 from demod.errors import RuleError, TheoryError
-from demod.parsing import parse_proof, parse_prop, parse_sequent
+from demod.parsing import (
+    parse_proof, parse_prop, parse_sequent, parse_theory,
+)
 
 
 class TestBuiltins:
@@ -106,6 +108,16 @@ class TestValidatedOnce:
         assert not t.report.nonconfusing
         proof = parse_proof('(imp_i "h" (axiom "h"))', t.signature)
         goal = parse_sequent("|- (imp Q Q)", t.signature)
+        with pytest.raises(RuleError, match="not non-confusing"):
+            check_proof(t, proof, goal)
+
+    def test_confusing_atom_chain_refused_by_checker(self):
+        # P ~> Q ~> (and A B) and P ~> (or A B)
+        t = parse_theory("pred A. pred B. pred Q. pred P. rule r1: P ~> Q. "
+                         "rule r2: Q ~> (and A B). rule r3: P ~> (or A B).")
+        assert not t.report.nonconfusing
+        proof = parse_proof('(imp_i "h" (axiom "h"))', t.signature)
+        goal = parse_sequent("|- (imp P P)", t.signature)
         with pytest.raises(RuleError, match="not non-confusing"):
             check_proof(t, proof, goal)
 

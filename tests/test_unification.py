@@ -5,7 +5,8 @@ from demod import (
     UnificationProblem, Var, alpha_eq, apply_subst, congruent, load_builtin,
     narrow_unify, print_node, unify_syntactic,
 )
-from demod.parsing import parse_term
+from demod.cli import main
+from demod.parsing import parse_term, parse_theory
 
 from conftest import random_term
 
@@ -171,3 +172,52 @@ class TestNarrowing:
         problem = UnificationProblem.of([(v("x"), v("y"))], addition.system)
         with pytest.raises(ValueError):
             narrow_unify(problem, depth=0)
+
+
+@pytest.fixture
+def unify_log(monkeypatch):
+    """The argument pairs of every ``unify_syntactic`` call, recorded
+    before the call runs."""
+    import demod.unification as unification
+    calls = []
+    real = unification.unify_syntactic
+
+    def recording(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(unification, "unify_syntactic", recording)
+    return calls
+
+
+def _head(x):
+    return type(x), x.fn if isinstance(x, App) else x.pred
+
+
+class TestNoWastedUnification:
+    def test_definition_chain_validates_without_unifying(self, unify_log):
+        # the def-chain benchmark family: every rule has a predicate of
+        # its own, so no two left-hand sides can overlap
+        names = [f"D{i}" for i in range(201)]
+        text = ("sort iota.\npred F.\n"
+                + "".join(f"pred {p}.\n" for p in reversed(names))
+                + "".join(f"rule d{i}: {names[i]} ~> (and F {names[i + 1]}).\n"
+                          for i in range(200)))
+        theory = parse_theory(text)
+        assert theory.report.lines() == [
+            "lhs shapes ok: yes", "non-confusing: yes", "critical pairs: 0",
+            "locally confluent: yes", "termination: lpo"]
+        assert unify_log == []
+
+    @pytest.mark.parametrize("argv", [
+        ("builtin:addition", "(plus x:nat (S (S 0)))", "(S (S (S (S 0))))"),
+        ("builtin:addition", "(plus x:nat z:nat)", "x:nat", "--depth", "6"),
+        ("builtin:addition", "(S x:nat)", "(plus x:nat z:nat)"),
+        ("builtin:assoc", "(plus a x:elem)", "(plus (plus a b) c)"),
+    ])
+    def test_unification_pairs_equal_heads(self, unify_log, capsys, argv):
+        # loading the theory runs critical_pairs and check_nonconfusing
+        assert main(["unify", *argv]) == 0
+        assert "#verdict: yes" in capsys.readouterr().out
+        assert unify_log
+        assert [(a, b) for a, b in unify_log if _head(a) != _head(b)] == []
