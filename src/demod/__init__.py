@@ -2,8 +2,8 @@
 propositions, generated by rewrite rules on terms and on atoms."""
 
 from .errors import (
-    ArityError, DemodError, FuelExhausted, ParseError, ProofError,
-    RuleError, SortError, TheoryError, UnknownSymbol,
+    DemodError, FuelExhausted, ParseError, ProofError, RuleError, SortError,
+    TheoryError,
 )
 from .syntax import (
     And, App, Atom, BOT, Bottom, Exists, ForAll, Hole, Imp, Or, Signature,

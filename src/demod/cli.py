@@ -9,6 +9,7 @@ hit a bound without an answer.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import FuelExhausted, ParseError
@@ -124,8 +125,7 @@ def _cmd_prove(args) -> int:
     if outcome.proved:
         lines.insert(0, print_proof(outcome.proof))
         return _verdict("proved", lines)
-    return _verdict("fail" if outcome.status == "fail" else "bound-exceeded",
-                    lines)
+    return _verdict(outcome.status, lines)
 
 
 def _cmd_cuts(args) -> int:
@@ -238,8 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# one parser per process, built on first use: parsing leaves no state in
+# it, and building it costs more than most jobs
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except Exception as e:   # any error or crash, never a definite "no"

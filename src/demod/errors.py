@@ -9,14 +9,6 @@ class SortError(DemodError):
     """A term or substitution violates the sort discipline."""
 
 
-class ArityError(DemodError):
-    """A symbol is applied to the wrong number of arguments."""
-
-
-class UnknownSymbol(DemodError):
-    """An identifier is not declared in the signature."""
-
-
 class FuelExhausted(DemodError):
     """A bounded operation ran out of its step budget.
 

@@ -27,8 +27,10 @@ from .syntax import (
     free_vars, fresh_var, is_term, print_prop, wellformed,
 )
 
-INTRO_TAGS = frozenset({
-    "top_i", "and_i", "or_i1", "or_i2", "imp_i", "forall_i", "exists_i"})
+# introduction tag -> the connective it proves
+_INTRODUCES = {"top_i": Top, "and_i": And, "or_i1": Or, "or_i2": Or,
+               "imp_i": Imp, "forall_i": ForAll, "exists_i": Exists}
+INTRO_TAGS = frozenset(_INTRODUCES)
 ELIM_TAGS = frozenset({
     "bot_e", "and_e1", "and_e2", "or_e", "imp_e", "forall_e", "exists_e"})
 ALL_TAGS = INTRO_TAGS | ELIM_TAGS | {"axiom"}
@@ -123,12 +125,17 @@ class _CheckFailure(Exception):
 
 
 class _Session:
-    """Per-check congruence cache keyed on canonical printed forms."""
+    """Per-check congruence cache keyed on canonical printed forms, and
+    a bounded memo of exposed atoms keyed on identity; it keeps each
+    atom alive, so no other node takes its ``id`` meanwhile."""
+
+    EXPOSE_MEMO_SIZE = 1024   # most atoms the exposure memo holds
 
     def __init__(self, rs: RewriteSystem, fuel: int):
         self.rs = rs
         self.fuel = fuel
         self._memo: dict[tuple[str, str], bool] = {}
+        self._exposed: dict[int, tuple[Atom, Proposition]] = {}
 
     def congruent(self, a: Proposition, b: Proposition) -> bool:
         ka, kb = alpha_key(a), alpha_key(b)
@@ -144,19 +151,27 @@ class _Session:
 
         Atom arguments are normalized first when the system is known
         convergent, so rules like P(0) fire on P(0 + 0)."""
-        steps = 0
+        if not isinstance(p, Atom):
+            return p
+        hit = self._exposed.get(id(p))
+        if hit is not None:
+            return hit[1]
+        atom, steps = p, 0
         while isinstance(p, Atom):
             if self.rs.convergent:
                 p = normalize(self.rs, p, self.fuel).value
                 if not isinstance(p, Atom):
-                    return p
+                    break
             hit = _step_at(self.rs, p)
             if hit is None:
-                return p
+                break
             p = hit[1]
             steps += 1
             if steps > self.fuel:
                 raise FuelExhausted("head exposure exhausted its budget")
+        if len(self._exposed) >= self.EXPOSE_MEMO_SIZE:
+            self._exposed.clear()
+        self._exposed[id(atom)] = (atom, p)
         return p
 
 
@@ -210,11 +225,7 @@ def _check(ss: _Session, ctx: dict, p: Proof, goal: Proposition,
         return dc_replace(p, children=(child,), conclusion=goal)
 
     if tag == "or_e":
-        major, c = _infer(ss, ctx, p.children[0], path + (0,))
-        g = ss.expose(c)
-        if not isinstance(g, Or):
-            _fail(path, f"or_e major premise proves {print_prop(c)}, "
-                        "not a disjunction")
+        major, _, g = _major(ss, ctx, p, path, Or, "a disjunction")
         if p.label is None or p.label2 is None:
             _fail(path, "or_e needs two hypothesis labels")
         b1 = _check(ss, _bind(ctx, p.label, g.left), p.children[1],
@@ -224,11 +235,7 @@ def _check(ss: _Session, ctx: dict, p: Proof, goal: Proposition,
         return dc_replace(p, children=(major, b1, b2), conclusion=goal)
 
     if tag == "exists_e":
-        major, c = _infer(ss, ctx, p.children[0], path + (0,))
-        g = ss.expose(c)
-        if not isinstance(g, Exists):
-            _fail(path, f"exists_e major premise proves {print_prop(c)}, "
-                        "not an existential")
+        major, c, g = _major(ss, ctx, p, path, Exists, "an existential")
         y = p.eigen if p.eigen is not None else g.var
         if y.sort != g.var.sort:
             _fail(path, f"eigenvariable sort {y.sort} does not match "
@@ -243,33 +250,25 @@ def _check(ss: _Session, ctx: dict, p: Proof, goal: Proposition,
 
     # introduction rules: decompose the exposed goal
     g = ss.expose(goal)
+    if tag in _INTRODUCES and not isinstance(g, _INTRODUCES[tag]):
+        _fail(path, f"{tag} cannot prove {print_prop(goal)}")
     if tag == "top_i":
-        if not isinstance(g, Top):
-            _fail(path, f"top_i cannot prove {print_prop(goal)}")
         return p.with_conclusion(goal)
     if tag == "and_i":
-        if not isinstance(g, And):
-            _fail(path, f"and_i cannot prove {print_prop(goal)}")
         l = _check(ss, ctx, p.children[0], g.left, path + (0,))
         r = _check(ss, ctx, p.children[1], g.right, path + (1,))
         return dc_replace(p, children=(l, r), conclusion=goal)
     if tag in ("or_i1", "or_i2"):
-        if not isinstance(g, Or):
-            _fail(path, f"{tag} cannot prove {print_prop(goal)}")
         side = g.left if tag == "or_i1" else g.right
         c = _check(ss, ctx, p.children[0], side, path + (0,))
         return dc_replace(p, children=(c,), conclusion=goal)
     if tag == "imp_i":
-        if not isinstance(g, Imp):
-            _fail(path, f"imp_i cannot prove {print_prop(goal)}")
         if p.label is None:
             _fail(path, "imp_i needs a hypothesis label")
         c = _check(ss, _bind(ctx, p.label, g.left), p.children[0],
                    g.right, path + (0,))
         return dc_replace(p, children=(c,), conclusion=goal)
     if tag == "forall_i":
-        if not isinstance(g, ForAll):
-            _fail(path, f"forall_i cannot prove {print_prop(goal)}")
         y = p.eigen if p.eigen is not None else g.var
         if y.sort != g.var.sort:
             _fail(path, f"eigenvariable sort {y.sort} does not match "
@@ -279,8 +278,6 @@ def _check(ss: _Session, ctx: dict, p: Proof, goal: Proposition,
                    apply_subst({g.var: y}, g.body), path + (0,))
         return dc_replace(p, children=(c,), eigen=y, conclusion=goal)
     if tag == "exists_i":
-        if not isinstance(g, Exists):
-            _fail(path, f"exists_i cannot prove {print_prop(goal)}")
         if p.witness is None:
             _fail(path, "exists_i needs a witness term")
         c = _check(ss, ctx, p.children[0],
@@ -298,28 +295,16 @@ def _infer(ss: _Session, ctx: dict, p: Proof,
         c = ctx[p.label]
         return p.with_conclusion(c), c
     if tag == "and_e1" or tag == "and_e2":
-        major, c = _infer(ss, ctx, p.children[0], path + (0,))
-        g = ss.expose(c)
-        if not isinstance(g, And):
-            _fail(path, f"{tag} major premise proves {print_prop(c)}, "
-                        "not a conjunction")
+        major, _, g = _major(ss, ctx, p, path, And, "a conjunction")
         out = g.left if tag == "and_e1" else g.right
         return dc_replace(p, children=(major,), conclusion=out), out
     if tag == "imp_e":
-        major, c = _infer(ss, ctx, p.children[0], path + (0,))
-        g = ss.expose(c)
-        if not isinstance(g, Imp):
-            _fail(path, f"imp_e major premise proves {print_prop(c)}, "
-                        "not an implication")
+        major, _, g = _major(ss, ctx, p, path, Imp, "an implication")
         minor = _check(ss, ctx, p.children[1], g.left, path + (1,))
         return dc_replace(p, children=(major, minor),
                           conclusion=g.right), g.right
     if tag == "forall_e":
-        major, c = _infer(ss, ctx, p.children[0], path + (0,))
-        g = ss.expose(c)
-        if not isinstance(g, ForAll):
-            _fail(path, f"forall_e major premise proves {print_prop(c)}, "
-                        "not a universal")
+        major, _, g = _major(ss, ctx, p, path, ForAll, "a universal")
         if p.witness is None:
             _fail(path, "forall_e needs a witness term")
         out = apply_subst({g.var: p.witness}, g.body)
@@ -330,6 +315,17 @@ def _infer(ss: _Session, ctx: dict, p: Proof,
         return p2, p.conclusion
     _fail(path, f"{tag} in a synthesizing position needs a "
                 "conclusion annotation")
+
+
+def _major(ss: _Session, ctx: dict, p: Proof, path: Position, kind,
+           what: str):
+    """The major premise inferred, its conclusion, and that exposed."""
+    major, c = _infer(ss, ctx, p.children[0], path + (0,))
+    g = ss.expose(c)
+    if not isinstance(g, kind):
+        _fail(path, f"{p.tag} major premise proves {print_prop(c)}, "
+                    f"not {what}")
+    return major, c, g
 
 
 def _bind(ctx: dict, label: str, prop: Proposition) -> dict:
@@ -635,23 +631,15 @@ def _commute_once(p: Proof) -> Optional[Proof]:
     major = p.children[0] if p.children else None
     if p.tag in _PERMUTABLE and major is not None \
             and major.tag in ("or_e", "exists_e"):
-        if major.tag == "or_e":
-            b1 = dc_replace(p, children=(major.children[1],) + p.children[1:],
-                            conclusion=p.conclusion)
-            b2 = dc_replace(p, children=(major.children[2],) + p.children[1:],
-                            conclusion=p.conclusion)
-            return dc_replace(major, children=(major.children[0], b1, b2),
-                              conclusion=p.conclusion)
-        body = dc_replace(p, children=(major.children[1],) + p.children[1:],
-                          conclusion=p.conclusion)
-        return dc_replace(major, children=(major.children[0], body),
+        arms = tuple(dc_replace(p, children=(arm,) + p.children[1:])
+                     for arm in major.children[1:])
+        return dc_replace(major, children=(major.children[0], *arms),
                           conclusion=p.conclusion)
     for i, c in enumerate(p.children):
         new = _commute_once(c)
         if new is not None:
-            kids = list(p.children)
-            kids[i] = new
-            return dc_replace(p, children=tuple(kids))
+            kids = p.children[:i] + (new,) + p.children[i + 1:]
+            return dc_replace(p, children=kids)
     return None
 
 
@@ -704,8 +692,7 @@ def iff_axioms_to_rules(axioms) -> DefinitionalRules:
             k += 1
             name = f"def_{lhs.pred}_{k}"
         names.add(name)
-        rule = RewriteRule(name, lhs, rhs)
-        rules.append(rule)
+        rules.append(RewriteRule(name, lhs, rhs))
         if _pred_occurs(lhs.pred, rhs):
             hazards.append(name)
     return DefinitionalRules(tuple(rules), tuple(hazards))

@@ -20,7 +20,7 @@ from .kernel import (
 )
 from .rewriting import DEFAULT_FUEL
 from .syntax import (
-    And, BOT, Bottom, Exists, ForAll, Imp, Or, Proposition, Subst,
+    And, Atom, BOT, Bottom, Exists, ForAll, Imp, Or, Proposition, Subst,
     Top, Var, alpha_key, apply_subst, compose, free_vars, wellformed,
 )
 from .theories import Theory
@@ -61,8 +61,10 @@ class _Search:
     def __init__(self, theory: Theory, depth: int, fuel: int,
                  narrow_depth: int, narrow_cap: int,
                  node_cap: int = 50000):
-        self.theory = theory
         self.rs = theory.system
+        # exposed heads that differ can still be bridged by proposition
+        # rules, tried in a system not known to be convergent only
+        self.bridges = not self.rs.convergent and bool(self.rs.prop_rules)
         self.session = _Session(self.rs, fuel)
         self.depth = depth
         self.fuel = fuel
@@ -85,7 +87,10 @@ class _Search:
         self.meta_scope[m.name] = frozenset(self.eigens)
         return m
 
-    def fresh_eigen(self, base: Var, avoid: set) -> Var:
+    def fresh_eigen(self, base: Var, ctx, goal: Proposition) -> Var:
+        """A fresh eigenvariable: no name free in the sequent."""
+        avoid = {v.name for c in ctx for v in free_vars(c[1])}
+        avoid |= {v.name for v in free_vars(goal)}
         self.counter += 1
         y = Var(f"{base.name}_{self.counter}", base.sort)
         while y.name in avoid:
@@ -93,6 +98,10 @@ class _Search:
             y = Var(f"{base.name}_{self.counter}", base.sort)
         self.eigens.add(y.name)
         return y
+
+    def entry(self, label: str, prop: Proposition, s: Subst) -> tuple:
+        """A new context entry, with every use left."""
+        return label, prop, self.depth, _View(prop, s)
 
     def fresh_label(self) -> str:
         self.counter += 1
@@ -115,13 +124,7 @@ class _Search:
     def close(self, hyp: Proposition, goal: Proposition,
               s: Subst) -> Iterator[Subst]:
         """Ways of making hypothesis and goal congruent, possibly
-        instantiating metavariables.  Both are exposed, so when their
-        heads differ only a proposition rule can still make them
-        congruent.  That is tried only in a system not known to be
-        convergent: narrowing rewrites terms, not atoms."""
-        if type(hyp) is not type(goal) and (self.rs.convergent
-                                            or not self.rs.prop_rules):
-            return
+        instantiating metavariables."""
         if not _has_meta(hyp) and not _has_meta(goal):
             try:
                 if self.session.congruent(hyp, goal):
@@ -149,38 +152,56 @@ class _Search:
     # -- the engine -------------------------------------------------------
 
     def prove(self, ctx, goal, depth, s,
-              path=()) -> Iterator[tuple[Proof, Subst]]:
-        """ctx: list of (label, proposition, uses-left)."""
+              path) -> Iterator[tuple[Proof, Subst]]:
+        """ctx: list of (label, hypothesis, uses left, ``_View``).  path:
+        {(goal key, hypothesis keys): use vectors} of the sequents open
+        on this branch; a node leaves it while it yields to its parent."""
         self.stats.nodes += 1
         if self.stats.nodes > self.node_cap:
             self.hit_bound = True
             return
         goal = self.session.expose(apply_subst(s, goal))
+        if any(e[3].s is not s for e in ctx):
+            ctx = [e if e[3].s is s else (*e[:3], _View(e[1], s))
+                   for e in ctx]
 
         # loop check: a sequent repeating an ancestor with no more uses
         # left on any hypothesis is redundant (the ancestor, which has
         # more depth, subsumes it)
-        entries = sorted((alpha_key(apply_subst(s, h)), u) for _, h, u in ctx)
-        state = (alpha_key(goal), tuple(k for k, _ in entries),
-                 tuple(u for _, u in entries))
-        for g, ks, us in path:
-            if (g == state[0] and ks == state[1]
-                    and all(u2 <= u1 for u1, u2 in zip(us, state[2]))):
+        keys, uses = tuple(zip(*sorted([(e[3].key, e[2]) for e in ctx]))) \
+            or ((), ())
+        key = (alpha_key(goal), keys)
+        above = path.get(key, ())
+        for us in above:
+            if all(u2 <= u1 for u1, u2 in zip(us, uses)):
                 return
-        path = path + (state,)
+        path[key] = above + (uses,)
+        for result in self._expand(ctx, goal, depth, s, path):
+            path[key] = above
+            yield result
+            path[key] = above + (uses,)
+        path[key] = above
+        if not above:
+            del path[key]
 
-        # close the branch against a hypothesis
-        for label, hyp, _ in ctx:
-            h = self.session.expose(apply_subst(s, hyp))
-            for s2 in self.close(h, goal, s):
-                yield Proof("axiom", label=label), s2
+    def _expand(self, ctx, goal, depth, s, path):
+        # close the branch against a hypothesis; see ``bridges``
+        exposed = []
+        for label, _, _, view in ctx:
+            h = view.exposed
+            if h is None:
+                h = view.exposed = self.session.expose(view.inst)
+            exposed.append(h)
+            if type(h) is type(goal) or self.bridges:
+                for s2 in self.close(h, goal, s):
+                    yield Proof("axiom", label=label), s2
 
         if depth <= 0:
             self.hit_bound = True
             return
 
         yield from self._intro(ctx, goal, depth, s, path)
-        yield from self._elim(ctx, goal, depth, s, path)
+        yield from self._elim(ctx, exposed, goal, depth, s, path)
 
     def _intro(self, ctx, goal, depth, s, path):
         if isinstance(goal, Top):
@@ -196,13 +217,11 @@ class _Search:
                 yield Proof("or_i2", (p,)), s1
         elif isinstance(goal, Imp):
             label = self.fresh_label()
-            ctx2 = ctx + [(label, goal.left, self.depth)]
+            ctx2 = ctx + [self.entry(label, goal.left, s)]
             for p, s1 in self.prove(ctx2, goal.right, depth - 1, s, path):
                 yield Proof("imp_i", (p,), label=label), s1
         elif isinstance(goal, ForAll):
-            avoid = {v.name for _, h, _ in ctx for v in free_vars(h)}
-            avoid |= {v.name for v in free_vars(goal)}
-            y = self.fresh_eigen(goal.var, avoid)
+            y = self.fresh_eigen(goal.var, ctx, goal)
             body = apply_subst({goal.var: y}, goal.body)
             for p, s1 in self.prove(ctx, body, depth - 1, s, path):
                 yield Proof("forall_i", (p,), eigen=y), s1
@@ -212,60 +231,74 @@ class _Search:
             for p, s1 in self.prove(ctx, body, depth - 1, s, path):
                 yield Proof("exists_i", (p,), witness=m), s1
 
-    def _elim(self, ctx, goal, depth, s, path):
-        for i, (label, hyp, uses) in enumerate(ctx):
-            if uses <= 0:
+    def _elim(self, ctx, exposed, goal, depth, s, path):
+        """Eliminations of the hypotheses, exposed under ``s``.  The or_e
+        and exists_e branches start with an empty path."""
+        for i, ((label, hyp, uses, view), h) in enumerate(zip(ctx, exposed)):
+            if uses <= 0 or isinstance(h, (Atom, Top)):
                 continue
-            h = self.session.expose(apply_subst(s, hyp))
-            rest = ctx[:i] + [(label, hyp, uses - 1)] + ctx[i + 1:]
             use = Proof("axiom", label=label)
             if isinstance(h, Bottom):
                 yield Proof("bot_e", (use,)), s
             elif isinstance(h, And):
                 l1, l2 = self.fresh_label(), self.fresh_label()
-                ctx2 = (ctx[:i] + ctx[i + 1:]
-                        + [(l1, h.left, self.depth), (l2, h.right, self.depth)])
+                ctx2 = ctx[:i] + ctx[i + 1:] + [self.entry(l1, h.left, s),
+                                                 self.entry(l2, h.right, s)]
                 for p, s1 in self.prove(ctx2, goal, depth - 1, s, path):
                     p = subst_hyp(p, l1, Proof("and_e1", (use,)))
                     p = subst_hyp(p, l2, Proof("and_e2", (use,)))
                     yield p, s1
             elif isinstance(h, Imp):
+                rest = ctx[:i] + [(label, hyp, uses - 1, view)] + ctx[i + 1:]
                 lb = self.fresh_label()
                 for pm, s1 in self.prove(rest, h.left, depth - 1, s, path):
-                    ctx2 = rest + [(lb, h.right, self.depth)]
+                    ctx2 = rest + [self.entry(lb, h.right, s1)]
                     for p, s2 in self.prove(ctx2, goal, depth - 1, s1, path):
                         yield subst_hyp(
                             p, lb, Proof("imp_e", (use, pm))), s2
             elif isinstance(h, Or):
                 l1, l2 = self.fresh_label(), self.fresh_label()
                 base = ctx[:i] + ctx[i + 1:]
-                for p1, s1 in self.prove(base + [(l1, h.left, self.depth)],
-                                         goal, depth - 1, s):
+                for p1, s1 in self.prove(base + [self.entry(l1, h.left, s)],
+                                         goal, depth - 1, s, {}):
                     for p2, s2 in self.prove(
-                            base + [(l2, h.right, self.depth)],
-                            goal, depth - 1, s1):
+                            base + [self.entry(l2, h.right, s1)],
+                            goal, depth - 1, s1, {}):
                         yield Proof("or_e", (use, p1, p2),
                                     label=l1, label2=l2), s2
             elif isinstance(h, ForAll):
+                rest = ctx[:i] + [(label, hyp, uses - 1, view)] + ctx[i + 1:]
                 m = self.fresh_meta(h.var.sort)
                 inst = apply_subst({h.var: m}, h.body)
                 li = self.fresh_label()
-                ctx2 = rest + [(li, inst, self.depth)]
+                ctx2 = rest + [self.entry(li, inst, s)]
                 for p, s1 in self.prove(ctx2, goal, depth - 1, s, path):
                     w = apply_subst(s1, m)
                     yield subst_hyp(
                         p, li, Proof("forall_e", (use,), witness=w)), s1
-            elif isinstance(h, Exists):
-                avoid = {v.name for _, hh, _ in ctx for v in free_vars(hh)}
-                avoid |= {v.name for v in free_vars(goal)}
-                y = self.fresh_eigen(h.var, avoid)
+            else:   # Exists
+                y = self.fresh_eigen(h.var, ctx, goal)
                 lb = self.fresh_label()
                 base = ctx[:i] + ctx[i + 1:]
                 inst = apply_subst({h.var: y}, h.body)
-                for p, s1 in self.prove(base + [(lb, inst, self.depth)],
-                                        goal, depth - 1, s):
+                for p, s1 in self.prove(base + [self.entry(lb, inst, s)],
+                                        goal, depth - 1, s, {}):
                     yield Proof("exists_e", (use, p),
                                 label=lb, eigen=y), s1
+
+
+class _View:
+    """A hypothesis under ``s``: its instance, the instance's
+    ``alpha_key``, and its exposed form once a node asks.  Entries share
+    it down the branch until the substitution changes."""
+
+    __slots__ = ("s", "inst", "key", "exposed")
+
+    def __init__(self, hyp: Proposition, s: Subst):
+        self.s = s
+        self.inst = apply_subst(s, hyp)
+        self.key = alpha_key(self.inst)
+        self.exposed: Optional[Proposition] = None
 
 
 def _resolve_metas(proof: Proof, s: Subst, counter: list) -> Proof:
@@ -274,9 +307,7 @@ def _resolve_metas(proof: Proof, s: Subst, counter: list) -> Proof:
     proof = subst_terms_in_proof(s, proof)
     leftovers: Subst = {}
     _name_leftover_metas(proof, leftovers, counter)
-    if leftovers:
-        proof = subst_terms_in_proof(leftovers, proof)
-    return proof
+    return subst_terms_in_proof(leftovers, proof)
 
 
 def _name_leftover_metas(p: Proof, leftovers: Subst, counter: list) -> None:
@@ -314,8 +345,8 @@ def search_proof(theory: Theory, goal: Sequent, depth: int = 8,
         raise TheoryError(f"malformed goal: {w.message}")
 
     engine = _Search(theory, depth, fuel, narrow_depth, narrow_cap, node_cap)
-    ctx = [(label, h, depth) for label, h in goal.context]
-    for proof, s in engine.prove(ctx, goal.conclusion, depth, {}):
+    ctx = [engine.entry(label, h, {}) for label, h in goal.context]
+    for proof, s in engine.prove(ctx, goal.conclusion, depth, {}, {}):
         proof = _resolve_metas(proof, s, [engine.counter])
         res = check_proof(theory, proof, goal, fuel)
         if not res.ok or find_cuts(res.proof):

@@ -399,13 +399,14 @@ class ConfluenceReport:
 def check_local_confluence(rs: RewriteSystem,
                            fuel: int = DEFAULT_FUEL) -> ConfluenceReport:
     """Test every critical pair for joinability by normalization within
-    fuel."""
+    fuel.  A reduct that grows deeper than the interpreter's recursion
+    limit before its fuel runs out is unknown too."""
     joinable, failures, unknown = [], [], []
     for cp in critical_pairs(rs):
         try:
             nl = normalize(rs, cp.left, fuel).value
             nr = normalize(rs, cp.right, fuel).value
-        except FuelExhausted:
+        except (FuelExhausted, RecursionError):
             unknown.append(CriticalPair(
                 cp.peak, cp.left, cp.right, cp.position,
                 cp.inner_rule, cp.outer_rule, "unknown"))

@@ -326,16 +326,23 @@ def apply_subst(s: Subst, x: Node) -> Node:
 
 
 def _subst(s: Subst, x: Node) -> Node:
+    """An unchanged node comes back as the same object."""
     if isinstance(x, Var):
         return s.get(x, x)
-    if isinstance(x, App):
+    if isinstance(x, App) or isinstance(x, Atom):
         args = []
         changed = False
         for a in x.args:
             b = _subst(s, a)
             args.append(b)
             changed = changed or b is not a
-        return App(x.fn, tuple(args)) if changed else x
+        return x if not changed else App(x.fn, tuple(args)) \
+            if isinstance(x, App) else Atom(x.pred, tuple(args))
+    if isinstance(x, BINARY):
+        left, right = _subst(s, x.left), _subst(s, x.right)
+        if left is x.left and right is x.right:
+            return x
+        return type(x)(left, right)
     if isinstance(x, QUANT):
         v, body = x.var, x.body
         body_vars = free_vars(body)
@@ -351,13 +358,7 @@ def _subst(s: Subst, x: Node) -> Node:
             body = _subst({v: v2}, body)
             v = v2
         return type(x)(v, _subst(live, body))
-    kids = children(x)
-    if not kids:
-        return x
-    new = []
-    for c in kids:
-        new.append(_subst(s, c))
-    return with_children(x, tuple(new))
+    return x   # Hole, Top, Bottom
 
 
 def compose(s1: Subst, s2: Subst) -> Subst:

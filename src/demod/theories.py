@@ -116,10 +116,6 @@ def _elem_sig():
     return make_signature(["elem"], consts, {"P": ["elem"], "Q": ["elem"]})
 
 
-def _v(name, sort):
-    return Var(name, sort)
-
-
 def load_builtin(name: str) -> Theory:
     """The named builtin theory; raises TheoryError on unknown names."""
     if name == "empty":
@@ -132,7 +128,7 @@ def load_builtin(name: str) -> Theory:
         t = Theory("def-conj", sig, RewriteSystem([rule]))
     elif name == "assoc":
         sig = _elem_sig()
-        x, y, z = (_v(n, "elem") for n in "xyz")
+        x, y, z = (Var(n, "elem") for n in "xyz")
         rule = RewriteRule(
             "assoc",
             App("plus", (x, App("plus", (y, z)))),
@@ -140,7 +136,7 @@ def load_builtin(name: str) -> Theory:
         t = Theory("assoc", sig, RewriteSystem([rule]))
     elif name == "addition":
         sig = _nat_sig()
-        x, y = _v("x", "nat"), _v("y", "nat")
+        x, y = Var("x", "nat"), Var("y", "nat")
         r1 = RewriteRule("add0", App("plus", (App("0"), y)), y)
         r2 = RewriteRule("addS",
                          App("plus", (App("S", (x,)), y)),
@@ -150,7 +146,7 @@ def load_builtin(name: str) -> Theory:
         sig = make_signature(
             ["set"], {"pow": (["set"], "set")},
             {"in": ["set", "set"]})
-        x, y, z = (_v(n, "set") for n in "xyz")
+        x, y, z = (Var(n, "set") for n in "xyz")
         rule = RewriteRule(
             "powerset",
             Atom("in", (x, App("pow", (y,)))),
@@ -168,14 +164,14 @@ def load_builtin(name: str) -> Theory:
                           "of Q exists, no cut-free proof of Q does)"))
     elif name == "comm":
         sig = _elem_sig()
-        x, y = _v("x", "elem"), _v("y", "elem")
+        x, y = Var("x", "elem"), Var("y", "elem")
         rule = RewriteRule("comm", App("plus", (x, y)), App("plus", (y, x)))
         t = Theory("comm", sig, RewriteSystem([rule]),
                    notes=("non-terminating as a rewrite system; the "
                           "congruence is decided heuristically only",))
     elif name == "p0-forall":
         sig = _nat_sig()
-        x = _v("x", "nat")
+        x = Var("x", "nat")
         rule = RewriteRule("p0", Atom("P", (App("0"),)),
                            ForAll(x, Atom("P", (x,))))
         # asserted: the rhs contains no further P(0) redex
@@ -184,7 +180,7 @@ def load_builtin(name: str) -> Theory:
     elif name == "pf-collapse":
         sig = make_signature(["iota"], {"f": (["iota"], "iota")},
                              {"P": ["iota"]})
-        x = _v("x", "iota")
+        x = Var("x", "iota")
         rule = RewriteRule("pf", Atom("P", (App("f", (x,)),)),
                            Atom("P", (x,)))
         t = Theory("pf-collapse", sig, RewriteSystem([rule]))

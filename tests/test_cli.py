@@ -1,8 +1,10 @@
+import contextlib
+import io
 import pathlib
 
 import pytest
 
-from demod.cli import main
+from demod.cli import build_parser, main
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -165,6 +167,18 @@ class TestValidateAndSubformulae:
             "locally confluent: NO\ntermination: lpo\n#verdict: invalid\n"),
             "")
 
+    def test_validate_deep_critical_pair_unknown(self, run, tmp_path):
+        # a reduct of the critical pair grows one level per step, so it
+        # outgrows the recursion limit before the fuel runs out
+        thy = tmp_path / "grow.thy"
+        thy.write_text("sort s. func a : s. func b : s. func g : s -> s. "
+                       "func f : s s -> s. rule r0: (g y) ~> (f (g y) b). "
+                       "rule r2: (f (g a) y) ~> y.\n")
+        assert run("validate", str(thy)) == (0, (
+            "lhs shapes ok: yes\nnon-confusing: yes\ncritical pairs: 1\n"
+            "locally confluent: unknown\ntermination: unknown\n"
+            "#verdict: ok\n"), "")
+
     def test_validate_builtin_notes(self, run):
         code, out, _ = run("validate", "builtin:crabbe")
         assert code == 0
@@ -282,3 +296,37 @@ class TestShadowedBinders:
         code, out, err = run("prove", theory, f"(imp {hyp} {goal})")
         assert (code, err) == (2, "")
         assert out == "nodes: 10771\n#verdict: bound-exceeded\n"
+
+
+class TestParserReuse:
+    # main builds its parser once per process and reuses it
+
+    def test_repeated_hypotheses_do_not_accumulate(self, run):
+        argv = ("probe", "builtin:empty", "--depth", "4", "--hyp", "P",
+                "--hyp", "(imp P bot)")
+        first = run(*argv)
+        assert first[0] == 1 and "#verdict: inconsistent" in first[1]
+        assert run(*argv) == first
+        assert run("probe", "builtin:empty", "--depth", "4", "--hyp",
+                   "P") == (0, "nodes: 1\nno derivation of falsity exists "
+                            "at depth 4\n#verdict: consistent-at-bound\n",
+                            "")
+
+    @staticmethod
+    def outcome(parse, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                parse(argv)
+                code = None
+            except SystemExit as e:
+                code = e.code
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["prove", "--help"], ["prove", "builtin:empty"]])
+    def test_same_output_as_a_fresh_parser(self, run, argv):
+        run("validate", "builtin:empty")   # the parser has been used
+        fresh = self.outcome(lambda a: build_parser().parse_args(a), argv)
+        assert fresh[0] in (0, 2) and fresh[1] + fresh[2]
+        assert self.outcome(main, argv) == fresh

@@ -122,3 +122,47 @@ def test_checker_sees_orphaned_helper():
                  "X = a._by_attribute\n"),
     }
     assert orphaned_helpers(sources) == ["a.py: _orphan", "a.py: _self_only"]
+
+
+def self_calling_closures(source: str) -> list[str]:
+    """Functions defined inside another function that call themselves by
+    name.  Such a function holds itself through a closure cell, so every
+    call of the enclosing function leaves a reference cycle for the
+    garbage collector; a module-level helper does the same work without
+    one."""
+    found = []
+    todo = [(ast.parse(source), False)]
+    while todo:
+        node, nested = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            is_fn = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if is_fn and nested and any(
+                    isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id == child.name for n in ast.walk(child)):
+                found.append((child.lineno, child.name))
+            todo.append((child, nested or is_fn
+                         or isinstance(child, ast.Lambda)))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_self_calling_closures(path):
+    assert self_calling_closures(path.read_text()) == []
+
+
+def test_checker_sees_self_calling_closure():
+    source = ("def top(n):\n"
+              "    return top(n - 1)\n"
+              "def outer(x):\n"
+              "    def walk(y):\n"
+              "        return [walk(c) for c in y]\n"
+              "    def leaf(y):\n"
+              "        return top(y)\n"
+              "    class Local:\n"
+              "        def method(self):\n"
+              "            def deep(z):\n"
+              "                return deep(z)\n"
+              "            return self.method()\n"
+              "    return walk(x), leaf(x), Local\n")
+    assert self_calling_closures(source) == ["line 4: walk",
+                                             "line 10: deep"]

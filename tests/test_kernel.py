@@ -6,6 +6,7 @@ from demod import (
     iff_axioms_to_rules, load_builtin, normalize_proof, print_node,
     reduce_cut,
 )
+from demod import kernel
 from demod.errors import ProofError
 from demod.parsing import parse_proof, parse_prop, parse_sequent, print_proof
 
@@ -217,3 +218,31 @@ class TestIffAxiomsToRules:
         dr = iff_axioms_to_rules([ax])
         t2 = Theory("derived", sig, RewriteSystem(list(dr.rules)))
         assert chk(t2, '(and_e1 (axiom "h"))', 'h : P |- A').ok
+
+
+def numeral(k):
+    n = App("0")
+    for _ in range(k):
+        n = App("S", (n,))
+    return n
+
+
+class TestExposureMemo:
+    def test_memo_stays_within_its_bound(self, addition):
+        # one more distinct atom than the memo holds: it is emptied once,
+        # and every answer is still the atom's normal form
+        session = kernel._Session(addition.system, 100)
+        bound = session.EXPOSE_MEMO_SIZE
+        for k in range(bound + 1):
+            p = Atom("P", (App("plus", (numeral(k % 5), App("0"))),))
+            assert session.expose(p) == Atom("P", (numeral(k % 5),))
+            assert 0 < len(session._exposed) <= bound
+        assert len(session._exposed) == 1
+
+    def test_memo_keeps_its_atoms_alive(self, def_conj):
+        session = kernel._Session(def_conj.system, 100)
+        p = Atom("P")
+        exposed = session.expose(p)
+        assert print_node(exposed) == "(and A B)"
+        assert session._exposed[id(p)] == (p, exposed)
+        assert session.expose(p) is exposed

@@ -4,6 +4,7 @@ from demod import (
     Atom, RewriteSystem, Sequent, Theory, check_proof, consistency_probe,
     find_cuts, load_builtin, search_proof,
 )
+from demod import kernel, prover
 from demod.parsing import parse_prop
 
 
@@ -128,6 +129,22 @@ class TestProbe:
         out = consistency_probe(t, depth=depth, hypotheses=(ax,))
         assert out.status == "bound-exceeded"
         assert out.stats.nodes == nodes
+
+    def test_exposure_memo_within_bound(self, monkeypatch):
+        sessions = []
+
+        class Recorded(kernel._Session):
+            def __init__(self, *args):
+                super().__init__(*args)
+                sessions.append(self)
+
+        monkeypatch.setattr(prover, "_Session", Recorded)
+        t, ax = self.pf_axiom()
+        out = consistency_probe(t, depth=10, hypotheses=(ax,))
+        assert out.stats.nodes == 50025
+        assert len(sessions) == 1
+        bound = kernel._Session.EXPOSE_MEMO_SIZE
+        assert 0 < len(sessions[0]._exposed) <= bound
 
     def test_inconsistent_hypotheses_found(self, empty):
         sig = empty.signature

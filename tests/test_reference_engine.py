@@ -267,6 +267,42 @@ def test_random_systems_have_critical_pairs():
 
 
 # ---------------------------------------------------------------------------
+# Proof search: the same tree, so the same verdict, node count and proof
+
+
+def _atom_theories(n):
+    preds = {name: [] for name in "ABCDEF"[:n]}
+    sig = make_signature(["iota"], {}, preds)
+    ref_sig = refdemod.make_signature(["iota"], {}, preds)
+    return (Theory("atoms", sig, RewriteSystem([])),
+            refdemod.Theory("atoms", ref_sig, refdemod.RewriteSystem([])))
+
+
+@given(seed=st.integers(0, 10**6), atoms=st.sampled_from([4, 5, 6, None]),
+       depth=st.integers(3, 7))
+@settings(max_examples=150, deadline=None)
+def test_search_matches_reference(seed, atoms, depth):
+    # atoms=None: a goal over def-conj, whose P rewrites to (and A B).
+    # Hypotheses in front of the goal give the loop check work to do;
+    # the node cap keeps the slowest draws short, and is part of the tree.
+    rng = random.Random(seed)
+    theory, ref = (_atom_theories(atoms) if atoms
+                   else (load_builtin("def-conj"), ref_theory("def-conj")))
+    prop = lambda d: random_prop(rng, theory.signature, d, quantifiers=False)
+    goal = prop(rng.randrange(3))
+    for _ in range(rng.randrange(4)):
+        goal = Imp(prop(rng.randrange(1, 4)), goal)
+    got = demod.search_proof(theory, goal, depth=depth, node_cap=2000)
+    want = refdemod.search_proof(ref, to_ref(goal), depth=depth,
+                                 node_cap=2000)
+    assert got.status == want.status
+    assert got.stats.nodes == want.stats.nodes
+    if got.proved:
+        assert demod.parsing.print_proof(got.proof) \
+            == refdemod.print_proof(want.proof)
+
+
+# ---------------------------------------------------------------------------
 # Positions and innermost normalization
 
 

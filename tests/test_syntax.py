@@ -315,6 +315,25 @@ def test_warm_cache_is_invisible(seed):
     assert dataclasses.astuple(fresh) == dataclasses.astuple(x)
 
 
+@given(st.integers(0, 10**6))
+@settings(max_examples=200)
+def test_substitution_keeps_untouched_nodes(seed):
+    # nothing free in p is substituted, not even a variable that p binds
+    # or one in the range: p itself comes back, and so its cached keys
+    rng = random.Random(seed)
+    sig = load_builtin("addition").signature
+    pool = (v("x"), v("y"), v("z"), v("u"))
+    p = random_prop(rng, sig, rng.randrange(5), pool[:2])
+    bound = [n.var for _, n in positions(p) if isinstance(n, QUANT)]
+    domain = [w for w in (*pool, *bound) if w not in free_vars(p)]
+    s = {w: random_term(rng, sig, "nat", 2, pool) for w in domain
+         if rng.random() < 0.7}
+    assert apply_subst(s, p) is p
+    for _, node in positions(p):
+        if free_vars(node).isdisjoint(s):
+            assert apply_subst(s, node) is node
+
+
 def test_values_are_computed_once():
     x, y = v("x"), v("y")
     p = ForAll(x, Imp(Atom("P", (App("plus", (x, y)),)), BOT))
