@@ -185,39 +185,44 @@ def _cmd_probe(args) -> int:
     return _verdict("bound-exceeded", lines)
 
 
-def _add_common(sp):
-    sp.add_argument("theory",
-                    help="theory file path, or builtin:<name> with name in "
-                         + ", ".join(BUILTIN_NAMES))
-    sp.add_argument("--depth", type=int, default=8,
-                    help="search depth bound (default 8)")
-    sp.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
-                    help=f"rewrite step budget (default {DEFAULT_FUEL})")
-    sp.add_argument("--cap", type=int, default=16,
-                    help="maximum solutions to enumerate (default 16)")
-
-
-PROOF_FILES = (("proof", None), ("goal", None))
+# option: its argparse settings
+OPTIONS = {
+    "--depth": dict(type=int, default=8,
+                    help="search depth bound (default 8)"),
+    "--fuel": dict(type=int, default=DEFAULT_FUEL,
+                   help=f"rewrite step budget (default {DEFAULT_FUEL})"),
+    "--cap": dict(type=int, default=16,
+                  help="maximum solutions to enumerate (default 16)"),
+    "--hyp": dict(action="append", default=[],
+                  help="extra hypothesis (repeatable)"),
+}
+FUEL = ("--fuel",)
+SEARCH = ("--depth", "--fuel", "--cap")
+PROOF_FILES = (("proof", "proof file ('-' for stdin)"),
+               ("goal", "sequent file ('-' for stdin)"))
 SIDES = (("left", None), ("right", None))
 
-# verb: (help, handler, positional arguments after the theory as (name, help))
+# verb: (help, handler, positional arguments after the theory as
+# (name, help), the options its handler reads)
 VERBS = {
-    "check": ("check a proof against a sequent", _cmd_check,
-              (("proof", "proof file ('-' for stdin)"),
-               ("goal", "sequent file ('-' for stdin)"))),
+    "check": ("check a proof against a sequent", _cmd_check, PROOF_FILES,
+              FUEL),
     "normalize": ("rewrite to normal form", _cmd_normalize,
-                  (("expr", "term or proposition"),)),
-    "congruent": ("decide the congruence", _cmd_congruent, SIDES),
-    "unify": ("unify modulo the rules (narrowing)", _cmd_unify, SIDES),
+                  (("expr", "term or proposition"),), FUEL),
+    "congruent": ("decide the congruence", _cmd_congruent, SIDES, FUEL),
+    "unify": ("unify modulo the rules (narrowing)", _cmd_unify, SIDES,
+              SEARCH),
     "prove": ("search for a proof of a proposition", _cmd_prove,
-              (("goal", "proposition to prove"),)),
-    "cuts": ("list the cuts of a checked proof", _cmd_cuts, PROOF_FILES),
+              (("goal", "proposition to prove"),), SEARCH),
+    "cuts": ("list the cuts of a checked proof", _cmd_cuts, PROOF_FILES,
+             FUEL),
     "eliminate": ("normalize a proof (cut elimination)", _cmd_eliminate,
-                  PROOF_FILES),
-    "validate": ("report on a theory's rules", _cmd_validate, ()),
+                  PROOF_FILES, ("--depth", "--fuel")),
+    "validate": ("report on a theory's rules", _cmd_validate, (), ()),
     "subformulae": ("congruence-closed sub-formula classes",
-                    _cmd_subformulae, (("prop", None),)),
-    "probe": ("bounded search for a proof of falsity", _cmd_probe, ()),
+                    _cmd_subformulae, (("prop", None),), FUEL),
+    "probe": ("bounded search for a proof of falsity", _cmd_probe, (),
+              SEARCH + ("--hyp",)),
 }
 
 
@@ -226,15 +231,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="demod",
         description="a workbench for natural deduction modulo rewriting")
     sub = ap.add_subparsers(dest="command", required=True)
-    for verb, (text, fn, positionals) in VERBS.items():
+    for verb, (text, fn, positionals, options) in VERBS.items():
         sp = sub.add_parser(verb, help=text)
-        _add_common(sp)
+        sp.add_argument("theory",
+                        help="theory file path, or builtin:<name> with name "
+                             "in " + ", ".join(BUILTIN_NAMES))
         for name, arg_help in positionals:
             sp.add_argument(name, help=arg_help)
+        for option in options:
+            sp.add_argument(option, **OPTIONS[option])
         sp.set_defaults(fn=fn)
-    sub.choices["probe"].add_argument(
-        "--hyp", action="append", default=[],
-        help="extra hypothesis (repeatable)")
     return ap
 
 

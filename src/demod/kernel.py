@@ -27,13 +27,38 @@ from .syntax import (
     free_vars, fresh_var, is_term, print_prop, wellformed,
 )
 
+# rule tag -> its fields in concrete-syntax order: an int is the subproof
+# of that index, "label" or "label2" a hypothesis label bound in the next
+# subproof (axiom's label is a use), "eigen" a binder, "witness" a term
+LAYOUT = {
+    "axiom": ("label",), "top_i": (), "bot_e": (0,),
+    "and_i": (0, 1), "and_e1": (0,), "and_e2": (0,),
+    "or_i1": (0,), "or_i2": (0,), "or_e": (0, "label", 1, "label2", 2),
+    "imp_i": ("label", 0), "imp_e": (0, 1),
+    "forall_i": ("eigen", 0), "forall_e": (0, "witness"),
+    "exists_i": ("witness", 0), "exists_e": (0, "eigen", "label", 1),
+}
+
+
+def _bound_labels(fields) -> tuple:
+    """Per subproof, the label field bound in it, or None."""
+    out, pending = [], None
+    for f in fields:
+        if isinstance(f, int):
+            out.append(pending)
+            pending = None
+        elif f in ("label", "label2"):
+            pending = f
+    return tuple(out)
+
+
+# derived once here: cut reduction builds proof nodes in a hot loop
+_BOUND_IN = {tag: _bound_labels(fields) for tag, fields in LAYOUT.items()}
+_ARITY = {tag: len(bound) for tag, bound in _BOUND_IN.items()}
+
 # introduction tag -> the connective it proves
 _INTRODUCES = {"top_i": Top, "and_i": And, "or_i1": Or, "or_i2": Or,
                "imp_i": Imp, "forall_i": ForAll, "exists_i": Exists}
-INTRO_TAGS = frozenset(_INTRODUCES)
-ELIM_TAGS = frozenset({
-    "bot_e", "and_e1", "and_e2", "or_e", "imp_e", "forall_e", "exists_e"})
-ALL_TAGS = INTRO_TAGS | ELIM_TAGS | {"axiom"}
 
 # elimination tag -> introduction tags forming a cut on its major premise
 CUT_PAIRS = {
@@ -49,12 +74,9 @@ CUT_PAIRS = {
 
 @dataclass(frozen=True)
 class Proof:
-    """A rule-tagged derivation node.
-
-    label / label2 name hypotheses (axiom, imp_i, or_e, exists_e),
-    witness is the instantiation term (forall_e, exists_i), eigen the
-    eigenvariable (forall_i, exists_e).  conclusion is the stated (or
-    elaborated) conclusion; it may be None where it is derivable.
+    """A rule-tagged derivation node; ``LAYOUT`` gives the fields each
+    tag uses.  conclusion is the stated (or elaborated) conclusion; it
+    may be None where it is derivable.
     """
 
     tag: str
@@ -66,25 +88,15 @@ class Proof:
     conclusion: Optional[Proposition] = None
 
     def __post_init__(self):
-        if self.tag not in ALL_TAGS:
+        want = _ARITY.get(self.tag)
+        if want is None:
             raise ProofError(f"unknown rule tag {self.tag!r}")
-        want = _CHILD_COUNT[self.tag]
         if len(self.children) != want:
             raise ProofError(
                 f"{self.tag} expects {want} subproofs, got {len(self.children)}")
 
     def with_conclusion(self, c: Proposition) -> "Proof":
         return dc_replace(self, conclusion=c)
-
-
-_CHILD_COUNT = {
-    "axiom": 0, "top_i": 0, "bot_e": 1,
-    "and_i": 2, "and_e1": 1, "and_e2": 1,
-    "or_i1": 1, "or_i2": 1, "or_e": 3,
-    "imp_i": 1, "imp_e": 2,
-    "forall_i": 1, "forall_e": 1,
-    "exists_i": 1, "exists_e": 2,
-}
 
 
 @dataclass(frozen=True)
@@ -378,29 +390,14 @@ def _collect_free_labels(q: Proof, bound: frozenset, out: set) -> None:
         if q.label not in bound:
             out.add(q.label)
         return
-    for i, c in enumerate(q.children):
-        _collect_free_labels(c, bound | _child_bound(q, i), out)
-
-
-def _child_bound(q: Proof, i: int) -> frozenset:
-    if q.tag == "imp_i" and i == 0:
-        return frozenset({q.label})
-    if q.tag == "or_e":
-        if i == 1:
-            return frozenset({q.label})
-        if i == 2:
-            return frozenset({q.label2})
-    if q.tag == "exists_e" and i == 1:
-        return frozenset({q.label})
-    return frozenset()
+    for c, attr in zip(q.children, _BOUND_IN[q.tag]):
+        _collect_free_labels(c, bound | {getattr(q, attr)} if attr else bound,
+                             out)
 
 
 def _binders(q: Proof) -> set:
     """Labels this node binds in any of its children."""
-    out = set()
-    for i in range(len(q.children)):
-        out |= _child_bound(q, i)
-    return out
+    return {getattr(q, attr) for attr in _BOUND_IN[q.tag] if attr}
 
 
 def _fresh_label(base: str, avoid: set) -> str:
@@ -425,8 +422,8 @@ def _subst_hyp(q: Proof, label: str, repl: Proof,
     if clash:
         q = _rename_binders(q, clash)
     kids = []
-    for i, c in enumerate(q.children):
-        if label in _child_bound(q, i):
+    for c, attr in zip(q.children, _BOUND_IN[q.tag]):
+        if attr and getattr(q, attr) == label:
             kids.append(c)  # shadowed: leave untouched
         else:
             kids.append(_subst_hyp(c, label, repl, repl_free))
@@ -437,15 +434,12 @@ def _rename_binders(q: Proof, clash: set) -> Proof:
     avoid = set(free_labels(q)) | _binders(q)
     new = dict(q.__dict__)
     kids = list(q.children)
-    for attr in ("label", "label2"):
-        b = getattr(q, attr)
-        if b in clash:
-            b2 = _fresh_label(b, avoid)
-            avoid.add(b2)
-            new[attr] = b2
-            for i in range(len(kids)):
-                if b in _child_bound(q, i):
-                    kids[i] = subst_hyp(kids[i], b, Proof("axiom", label=b2))
+    for i, attr in enumerate(_BOUND_IN[q.tag]):
+        if attr and getattr(q, attr) in clash:
+            b = getattr(q, attr)
+            new[attr] = _fresh_label(b, avoid)
+            avoid.add(new[attr])
+            kids[i] = subst_hyp(kids[i], b, Proof("axiom", label=new[attr]))
     new["children"] = tuple(kids)
     return Proof(**new)
 

@@ -21,12 +21,11 @@ import re
 from typing import Optional
 
 from .errors import ParseError, RuleError, TheoryError
-from .kernel import Proof, Sequent
+from .kernel import LAYOUT, Proof, Sequent
 from .rewriting import RewriteRule, RewriteSystem
 from .syntax import (
-    And, App, Atom, BOT, Exists, ForAll, Imp, Node, Or, Proposition,
-    Signature, TOP, Term, Var, make_signature, print_node, print_prop,
-    term_sort,
+    App, Atom, BINARY, BOT, CONNECTIVES, Node, Proposition, QUANT, Signature,
+    TOP, Term, Var, make_signature, print_node, print_prop, term_sort,
 )
 from .theories import Theory
 
@@ -45,8 +44,9 @@ _TOKEN = re.compile(r"""
   | (?P<id>[A-Za-z0-9_'?+*=]+)
 """, re.VERBOSE)
 
-_CONNECTIVES = {"and": And, "or": Or, "imp": Imp}
-_QUANTS = {"forall": ForAll, "exists": Exists}
+_CONSTANTS = {CONNECTIVES[type(c)]: c for c in (TOP, BOT)}
+_CONNECTIVES = {name: c for c, name in CONNECTIVES.items() if c in BINARY}
+_QUANTS = {name: c for c, name in CONNECTIVES.items() if c in QUANT}
 
 
 class _Lexer:
@@ -161,10 +161,8 @@ class _Parser:
         kind, value, line, col = self.lx.peek()
         if kind == "id":
             self.lx.next()
-            if value == "top":
-                return TOP
-            if value == "bot":
-                return BOT
+            if value in _CONSTANTS:
+                return _CONSTANTS[value]
             if value in self.sig.predicates:
                 if self.sig.predicates[value]:
                     raise ParseError(
@@ -214,54 +212,26 @@ class _Parser:
     def proof(self) -> Proof:
         self.lx.expect("lp", "'('")
         _, tag, line, col = self.lx.expect("id", "a rule tag")
-        label = label2 = witness = eigen = None
-        children: list[Proof] = []
-        if tag == "axiom":
-            label = self.string()
-        elif tag == "top_i":
-            pass
-        elif tag in ("bot_e", "and_e1", "and_e2", "or_i1", "or_i2"):
-            children = [self.proof()]
-        elif tag == "and_i":
-            children = [self.proof(), self.proof()]
-        elif tag == "imp_i":
-            label = self.string()
-            children = [self.proof()]
-        elif tag == "imp_e":
-            children = [self.proof(), self.proof()]
-        elif tag == "or_e":
-            major = self.proof()
-            label = self.string()
-            b1 = self.proof()
-            label2 = self.string()
-            b2 = self.proof()
-            children = [major, b1, b2]
-        elif tag == "forall_i":
-            eigen = self.binder()
-            children = [self.proof()]
-            self.var_sorts.pop(eigen.name, None)
-        elif tag == "forall_e":
-            children = [self.proof()]
-            witness = self.term(None)
-        elif tag == "exists_i":
-            witness = self.term(None)
-            children = [self.proof()]
-        elif tag == "exists_e":
-            major = self.proof()
-            eigen = self.binder()
-            label = self.string()
-            body = self.proof()
-            children = [major, body]
-            self.var_sorts.pop(eigen.name, None)
-        else:
+        if tag not in LAYOUT:
             raise ParseError(f"unknown rule tag {tag!r}", line, col)
+        fields, children = {}, []
+        for f in LAYOUT[tag]:
+            if isinstance(f, int):
+                children.append(self.proof())
+            elif f == "eigen":
+                fields[f] = self.binder()
+            elif f == "witness":
+                fields[f] = self.term(None)
+            else:
+                fields[f] = self.string()
+        if "eigen" in fields:
+            self.var_sorts.pop(fields["eigen"].name, None)
         conclusion = None
         if self.lx.peek()[0] == "colon":
             self.lx.next()
             conclusion = self.prop()
         self.lx.expect("rp", "')'")
-        return Proof(tag, tuple(children), label=label, label2=label2,
-                     witness=witness, eigen=eigen, conclusion=conclusion)
+        return Proof(tag, tuple(children), conclusion=conclusion, **fields)
 
     def string(self) -> str:
         return self.lx.expect("str", "a hypothesis label")[1][1:-1]
@@ -309,7 +279,7 @@ def parse_node(text: str, sig: Signature) -> Node:
         head = value
     if head in sig.functions or (kind == "id"
                                  and head not in sig.predicates
-                                 and head not in ("top", "bot")):
+                                 and head not in _CONSTANTS):
         x = p.term(None)
     else:
         x = p.prop()
@@ -428,33 +398,15 @@ def _rule_side(p: _Parser, expected) -> Node:
 
 def print_proof(p: Proof) -> str:
     parts = [p.tag]
-    if p.tag == "axiom":
-        parts.append(f'"{p.label}"')
-    elif p.tag == "imp_i":
-        parts.append(f'"{p.label}"')
-        parts.append(print_proof(p.children[0]))
-    elif p.tag == "or_e":
-        parts.append(print_proof(p.children[0]))
-        parts.append(f'"{p.label}"')
-        parts.append(print_proof(p.children[1]))
-        parts.append(f'"{p.label2}"')
-        parts.append(print_proof(p.children[2]))
-    elif p.tag == "forall_i":
-        parts.append(f"({p.eigen.name} : {p.eigen.sort})")
-        parts.append(print_proof(p.children[0]))
-    elif p.tag == "forall_e":
-        parts.append(print_proof(p.children[0]))
-        parts.append(_print_side(p.witness))
-    elif p.tag == "exists_i":
-        parts.append(_print_side(p.witness))
-        parts.append(print_proof(p.children[0]))
-    elif p.tag == "exists_e":
-        parts.append(print_proof(p.children[0]))
-        parts.append(f"({p.eigen.name} : {p.eigen.sort})")
-        parts.append(f'"{p.label}"')
-        parts.append(print_proof(p.children[1]))
-    else:
-        parts.extend(print_proof(c) for c in p.children)
+    for f in LAYOUT[p.tag]:
+        if isinstance(f, int):
+            parts.append(print_proof(p.children[f]))
+        elif f == "eigen":
+            parts.append(f"({p.eigen.name} : {p.eigen.sort})")
+        elif f == "witness":
+            parts.append(_print_side(p.witness))
+        else:
+            parts.append(f'"{getattr(p, f)}"')
     if p.conclusion is not None:
         parts.append(": " + print_prop(p.conclusion))
     return "(" + " ".join(parts) + ")"

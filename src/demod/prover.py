@@ -58,7 +58,7 @@ class SearchOutcome:
 
 
 class _Search:
-    def __init__(self, theory: Theory, depth: int, fuel: int,
+    def __init__(self, theory: Theory, fuel: int,
                  narrow_depth: int, narrow_cap: int,
                  node_cap: int = 50000):
         self.rs = theory.system
@@ -66,7 +66,6 @@ class _Search:
         # rules, tried in a system not known to be convergent only
         self.bridges = not self.rs.convergent and bool(self.rs.prop_rules)
         self.session = _Session(self.rs, fuel)
-        self.depth = depth
         self.fuel = fuel
         self.narrow_depth = narrow_depth
         self.narrow_cap = narrow_cap
@@ -89,7 +88,7 @@ class _Search:
 
     def fresh_eigen(self, base: Var, ctx, goal: Proposition) -> Var:
         """A fresh eigenvariable: no name free in the sequent."""
-        avoid = {v.name for c in ctx for v in free_vars(c[1])}
+        avoid = {v.name for e in ctx for v in free_vars(e.hyp)}
         avoid |= {v.name for v in free_vars(goal)}
         self.counter += 1
         y = Var(f"{base.name}_{self.counter}", base.sort)
@@ -98,10 +97,6 @@ class _Search:
             y = Var(f"{base.name}_{self.counter}", base.sort)
         self.eigens.add(y.name)
         return y
-
-    def entry(self, label: str, prop: Proposition, s: Subst) -> tuple:
-        """A new context entry, with every use left."""
-        return label, prop, self.depth, _View(prop, s)
 
     def fresh_label(self) -> str:
         self.counter += 1
@@ -153,48 +148,40 @@ class _Search:
 
     def prove(self, ctx, goal, depth, s,
               path) -> Iterator[tuple[Proof, Subst]]:
-        """ctx: list of (label, hypothesis, uses left, ``_View``).  path:
-        {(goal key, hypothesis keys): use vectors} of the sequents open
-        on this branch; a node leaves it while it yields to its parent."""
+        """ctx: list of ``_View``.  path: set of (goal key, sorted
+        hypothesis keys) of the sequents open on this branch; a node
+        leaves it while it yields to its parent."""
         self.stats.nodes += 1
         if self.stats.nodes > self.node_cap:
             self.hit_bound = True
             return
         goal = self.session.expose(apply_subst(s, goal))
-        if any(e[3].s is not s for e in ctx):
-            ctx = [e if e[3].s is s else (*e[:3], _View(e[1], s))
-                   for e in ctx]
+        if any(e.s is not s for e in ctx):
+            ctx = [e if e.s is s else _View(e.label, e.hyp, s) for e in ctx]
 
-        # loop check: a sequent repeating an ancestor with no more uses
-        # left on any hypothesis is redundant (the ancestor, which has
-        # more depth, subsumes it)
-        keys, uses = tuple(zip(*sorted([(e[3].key, e[2]) for e in ctx]))) \
-            or ((), ())
-        key = (alpha_key(goal), keys)
-        above = path.get(key, ())
-        for us in above:
-            if all(u2 <= u1 for u1, u2 in zip(us, uses)):
-                return
-        path[key] = above + (uses,)
+        # loop check: a sequent repeating an ancestor is redundant (the
+        # ancestor, which has more depth, subsumes it)
+        key = (alpha_key(goal), tuple(sorted([e.key for e in ctx])))
+        if key in path:
+            return
+        path.add(key)
         for result in self._expand(ctx, goal, depth, s, path):
-            path[key] = above
+            path.remove(key)
             yield result
-            path[key] = above + (uses,)
-        path[key] = above
-        if not above:
-            del path[key]
+            path.add(key)
+        path.remove(key)
 
     def _expand(self, ctx, goal, depth, s, path):
         # close the branch against a hypothesis; see ``bridges``
         exposed = []
-        for label, _, _, view in ctx:
+        for view in ctx:
             h = view.exposed
             if h is None:
                 h = view.exposed = self.session.expose(view.inst)
             exposed.append(h)
             if type(h) is type(goal) or self.bridges:
                 for s2 in self.close(h, goal, s):
-                    yield Proof("axiom", label=label), s2
+                    yield Proof("axiom", label=view.label), s2
 
         if depth <= 0:
             self.hit_bound = True
@@ -217,7 +204,7 @@ class _Search:
                 yield Proof("or_i2", (p,)), s1
         elif isinstance(goal, Imp):
             label = self.fresh_label()
-            ctx2 = ctx + [self.entry(label, goal.left, s)]
+            ctx2 = ctx + [_View(label, goal.left, s)]
             for p, s1 in self.prove(ctx2, goal.right, depth - 1, s, path):
                 yield Proof("imp_i", (p,), label=label), s1
         elif isinstance(goal, ForAll):
@@ -234,44 +221,42 @@ class _Search:
     def _elim(self, ctx, exposed, goal, depth, s, path):
         """Eliminations of the hypotheses, exposed under ``s``.  The or_e
         and exists_e branches start with an empty path."""
-        for i, ((label, hyp, uses, view), h) in enumerate(zip(ctx, exposed)):
-            if uses <= 0 or isinstance(h, (Atom, Top)):
+        for i, (view, h) in enumerate(zip(ctx, exposed)):
+            if isinstance(h, (Atom, Top)):
                 continue
-            use = Proof("axiom", label=label)
+            use = Proof("axiom", label=view.label)
             if isinstance(h, Bottom):
                 yield Proof("bot_e", (use,)), s
             elif isinstance(h, And):
                 l1, l2 = self.fresh_label(), self.fresh_label()
-                ctx2 = ctx[:i] + ctx[i + 1:] + [self.entry(l1, h.left, s),
-                                                 self.entry(l2, h.right, s)]
+                ctx2 = ctx[:i] + ctx[i + 1:] + [_View(l1, h.left, s),
+                                                 _View(l2, h.right, s)]
                 for p, s1 in self.prove(ctx2, goal, depth - 1, s, path):
                     p = subst_hyp(p, l1, Proof("and_e1", (use,)))
                     p = subst_hyp(p, l2, Proof("and_e2", (use,)))
                     yield p, s1
             elif isinstance(h, Imp):
-                rest = ctx[:i] + [(label, hyp, uses - 1, view)] + ctx[i + 1:]
                 lb = self.fresh_label()
-                for pm, s1 in self.prove(rest, h.left, depth - 1, s, path):
-                    ctx2 = rest + [self.entry(lb, h.right, s1)]
+                for pm, s1 in self.prove(ctx, h.left, depth - 1, s, path):
+                    ctx2 = ctx + [_View(lb, h.right, s1)]
                     for p, s2 in self.prove(ctx2, goal, depth - 1, s1, path):
                         yield subst_hyp(
                             p, lb, Proof("imp_e", (use, pm))), s2
             elif isinstance(h, Or):
                 l1, l2 = self.fresh_label(), self.fresh_label()
                 base = ctx[:i] + ctx[i + 1:]
-                for p1, s1 in self.prove(base + [self.entry(l1, h.left, s)],
-                                         goal, depth - 1, s, {}):
+                for p1, s1 in self.prove(base + [_View(l1, h.left, s)],
+                                         goal, depth - 1, s, set()):
                     for p2, s2 in self.prove(
-                            base + [self.entry(l2, h.right, s1)],
-                            goal, depth - 1, s1, {}):
+                            base + [_View(l2, h.right, s1)],
+                            goal, depth - 1, s1, set()):
                         yield Proof("or_e", (use, p1, p2),
                                     label=l1, label2=l2), s2
             elif isinstance(h, ForAll):
-                rest = ctx[:i] + [(label, hyp, uses - 1, view)] + ctx[i + 1:]
                 m = self.fresh_meta(h.var.sort)
                 inst = apply_subst({h.var: m}, h.body)
                 li = self.fresh_label()
-                ctx2 = rest + [self.entry(li, inst, s)]
+                ctx2 = ctx + [_View(li, inst, s)]
                 for p, s1 in self.prove(ctx2, goal, depth - 1, s, path):
                     w = apply_subst(s1, m)
                     yield subst_hyp(
@@ -281,20 +266,22 @@ class _Search:
                 lb = self.fresh_label()
                 base = ctx[:i] + ctx[i + 1:]
                 inst = apply_subst({h.var: y}, h.body)
-                for p, s1 in self.prove(base + [self.entry(lb, inst, s)],
-                                        goal, depth - 1, s, {}):
+                for p, s1 in self.prove(base + [_View(lb, inst, s)],
+                                        goal, depth - 1, s, set()):
                     yield Proof("exists_e", (use, p),
                                 label=lb, eigen=y), s1
 
 
 class _View:
-    """A hypothesis under ``s``: its instance, the instance's
-    ``alpha_key``, and its exposed form once a node asks.  Entries share
-    it down the branch until the substitution changes."""
+    """A context entry: a labelled hypothesis under ``s``, with its
+    instance, the instance's ``alpha_key``, and its exposed form once a
+    node asks.  Branches share it until the substitution changes."""
 
-    __slots__ = ("s", "inst", "key", "exposed")
+    __slots__ = ("label", "hyp", "s", "inst", "key", "exposed")
 
-    def __init__(self, hyp: Proposition, s: Subst):
+    def __init__(self, label: str, hyp: Proposition, s: Subst):
+        self.label = label
+        self.hyp = hyp
         self.s = s
         self.inst = apply_subst(s, hyp)
         self.key = alpha_key(self.inst)
@@ -344,9 +331,9 @@ def search_proof(theory: Theory, goal: Sequent, depth: int = 8,
     if not w:
         raise TheoryError(f"malformed goal: {w.message}")
 
-    engine = _Search(theory, depth, fuel, narrow_depth, narrow_cap, node_cap)
-    ctx = [engine.entry(label, h, {}) for label, h in goal.context]
-    for proof, s in engine.prove(ctx, goal.conclusion, depth, {}, {}):
+    engine = _Search(theory, fuel, narrow_depth, narrow_cap, node_cap)
+    ctx = [_View(label, h, {}) for label, h in goal.context]
+    for proof, s in engine.prove(ctx, goal.conclusion, depth, {}, set()):
         proof = _resolve_metas(proof, s, [engine.counter])
         res = check_proof(theory, proof, goal, fuel)
         if not res.ok or find_cuts(res.proof):

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import FuelExhausted, RuleError
 from .syntax import (
-    App, Atom, BINARY, Bottom, ForAll, Hole, Node, Position, Subst, Top, Var,
+    App, Atom, CONNECTIVES, Hole, Node, Position, QUANT, Subst, Var,
     alpha_eq, alpha_key, apply_subst, children, free_vars, fresh_var,
     is_term, positions, print_node, replace_at, with_children,
 )
@@ -64,8 +64,8 @@ class RewriteSystem:
     Built once with the system: ``by_head``, the rules by the head symbol
     of their left-hand sides, in rule order, and ``prop_rules``.  Every
     place that pairs rules with nodes takes its rules from ``by_head``:
-    redex search and normalization, narrowing steps, critical pairs and
-    non-confusion."""
+    redex search and normalization, narrowing steps and critical
+    pairs."""
 
     rules: tuple[RewriteRule, ...] = ()
     asserted_terminating: bool = False
@@ -423,8 +423,7 @@ def check_local_confluence(rs: RewriteSystem,
 # Termination: lexicographic path ordering (sufficient check only)
 
 
-_CONNECTIVE_HEADS = {"and#": -1, "or#": -1, "imp#": -1, "top#": -1,
-                     "bot#": -1, "forall#": -1, "exists#": -1}
+_CONNECTIVE_HEADS = {f"{name}#" for name in CONNECTIVES.values()}
 
 
 _BOUND = App("bv#", ())
@@ -443,15 +442,10 @@ def _encode(x: Node, bound: frozenset) -> Node:
         return App(x.fn, tuple(_encode(a, bound) for a in x.args))
     if isinstance(x, Atom):
         return App(x.pred, tuple(_encode(a, bound) for a in x.args))
-    if isinstance(x, Top):
-        return App("top#", ())
-    if isinstance(x, Bottom):
-        return App("bot#", ())
-    if isinstance(x, BINARY):
-        tag = {"And": "and#", "Or": "or#", "Imp": "imp#"}[type(x).__name__]
-        return App(tag, (_encode(x.left, bound), _encode(x.right, bound)))
-    tag = "forall#" if isinstance(x, ForAll) else "exists#"
-    return App(tag, (_encode(x.body, bound | {x.var}),))
+    if isinstance(x, QUANT):
+        bound = bound | {x.var}
+    return App(f"{CONNECTIVES[type(x)]}#",
+               tuple(_encode(c, bound) for c in children(x)))
 
 
 def _prec(rank: dict, f: str) -> int:
@@ -502,33 +496,23 @@ def check_termination_lpo(rs: RewriteSystem, precedence: list[str]) -> bool:
 
 
 def check_nonconfusing(rs: RewriteSystem) -> bool:
-    """Sufficient syntactic criterion: no two proposition rules with
-    overlapping left-hand sides expose different head connectives.  Only
-    rules on one predicate can overlap; an atom reduct exposes what the
-    rules on its predicate can expose."""
-    from .unification import unify_syntactic
-    for bucket in rs.by_head.values():
-        props = [r for r in bucket if not r.is_term_rule]
-        for i, r1 in enumerate(props):
-            for r2 in props[i + 1:]:
-                a = _rename_apart(r1, {v.name for v in free_vars(r2.lhs)})
-                if unify_syntactic(a.lhs, r2.lhs) is None:
-                    continue
-                if len(_exposed(rs, r1.rhs) | _exposed(rs, r2.rhs)) > 1:
-                    return False
-    return True
+    """Sufficient syntactic criterion: link each predicate to the
+    predicates of its rules' atom reducts; the non-atomic reducts of the
+    rules on one linked group have at most one head connective.  Every
+    rule of a group counts, overlapping or not, since term rules can
+    rewrite one atom into another rule's instance."""
+    group: dict[str, str] = {}   # predicate -> a linked predicate
 
+    def root(pred: str) -> str:
+        while group.setdefault(pred, pred) != pred:
+            pred = group[pred]
+        return pred
 
-def _exposed(rs: RewriteSystem, x: Node) -> set[type]:
-    """The connectives that root rewriting can expose in ``x``: an atom
-    exposes those of the proposition rules on its predicate, if any."""
-    out, seen, todo = set(), set(), [x]
-    while todo:
-        x = todo.pop()
-        if not isinstance(x, Atom):
-            out.add(type(x))
-        elif x.pred not in seen:
-            seen.add(x.pred)
-            todo.extend(r.rhs for r in rs.by_head.get(x.pred, ())
-                        if not r.is_term_rule)
-    return out
+    for r in rs.prop_rules:
+        if isinstance(r.rhs, Atom):
+            group[root(r.lhs.pred)] = root(r.rhs.pred)
+    heads: dict[str, set[type]] = {}
+    for r in rs.prop_rules:
+        if not isinstance(r.rhs, Atom):
+            heads.setdefault(root(r.lhs.pred), set()).add(type(r.rhs))
+    return all(len(h) == 1 for h in heads.values())

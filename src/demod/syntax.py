@@ -192,6 +192,10 @@ BOT = Bottom()
 BINARY = (And, Or, Imp)
 QUANT = (ForAll, Exists)
 
+# each connective and quantifier by its name in the concrete syntax
+CONNECTIVES = {Top: "top", Bottom: "bot", And: "and", Or: "or", Imp: "imp",
+               ForAll: "forall", Exists: "exists"}
+
 
 def neg(a: Proposition) -> Imp:
     return Imp(a, BOT)
@@ -414,21 +418,19 @@ def _akey(x: Node, bound: dict, depth: int, out: list) -> None:
             _akey(a, bound, depth, out)
         out.append(")" if isinstance(x, App) else "]")
         return
+    name = CONNECTIVES[type(x)]
     if isinstance(x, QUANT):
-        tag = "forall" if isinstance(x, ForAll) else "exists"
-        out.append(f"({tag} {x.var.sort} ")
+        out.append(f"({name} {x.var.sort} ")
         _akey(x.body, {**bound, x.var: depth}, depth + 1, out)
         out.append(")")
-        return
-    if isinstance(x, BINARY):
-        tag = {And: "and", Or: "or", Imp: "imp"}[type(x)]
-        out.append(f"({tag} ")
+    elif isinstance(x, BINARY):
+        out.append(f"({name} ")
         _akey(x.left, bound, depth, out)
         out.append(" ")
         _akey(x.right, bound, depth, out)
         out.append(")")
-        return
-    out.append("top" if isinstance(x, Top) else "bot")
+    else:
+        out.append(name)
 
 
 # ---------------------------------------------------------------------------
@@ -527,15 +529,12 @@ def print_prop(p: Proposition) -> str:
         if not p.args:
             return p.pred
         return f"({p.pred} {' '.join(print_term(a) for a in p.args)})"
-    if isinstance(p, Top):
-        return "top"
-    if isinstance(p, Bottom):
-        return "bot"
+    name = CONNECTIVES[type(p)]
     if isinstance(p, BINARY):
-        tag = {And: "and", Or: "or", Imp: "imp"}[type(p)]
-        return f"({tag} {print_prop(p.left)} {print_prop(p.right)})"
-    tag = "forall" if isinstance(p, ForAll) else "exists"
-    return f"({tag} ({p.var.name} : {p.var.sort}) {print_prop(p.body)})"
+        return f"({name} {print_prop(p.left)} {print_prop(p.right)})"
+    if isinstance(p, QUANT):
+        return f"({name} ({p.var.name} : {p.var.sort}) {print_prop(p.body)})"
+    return name
 
 
 def print_node(x: Node) -> str:

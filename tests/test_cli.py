@@ -179,6 +179,50 @@ class TestValidateAndSubformulae:
             "locally confluent: unknown\ntermination: unknown\n"
             "#verdict: ok\n"), "")
 
+    # two rules whose left-hand sides do not overlap, still both reached
+    # from one atom: the sequent h : (or A B) |- A gets a proof
+    CONFUSED = {
+        # a term rule turns an instance of p1 into one of p2
+        "term-rule": (
+            "sort s. func a : s. func b : s. func f : s -> s. pred A. "
+            "pred B. pred P : s. rule t: (f a) ~> b. "
+            "rule p1: (P (f x)) ~> (and A B). rule p2: (P b) ~> (or A B).\n",
+            '(and_e1 (imp_e (imp_i "k" (axiom "k") : '
+            '(imp (P (f a)) (P (f a)))) (axiom "h")))'),
+        # p links both instances through R
+        "atom-reduct": (
+            "sort s. func b : s. func f : s -> s. pred A. pred B. "
+            "pred P : s. pred R. rule p1: (P (f x)) ~> (and A B). "
+            "rule p2: (P b) ~> (or A B). rule p: (P x) ~> R.\n",
+            '(and_e1 (imp_e (imp_i "k" (axiom "k") : '
+            '(imp (P (f b)) (P (f b)))) (imp_e (imp_i "j" (axiom "j") : '
+            '(imp (P b) (P b))) (axiom "h"))))'),
+    }
+
+    @pytest.mark.parametrize("name", CONFUSED)
+    def test_confusion_through_other_rules(self, run, tmp_path, name):
+        theory, proof = self.CONFUSED[name]
+        thy, prf, seq = (tmp_path / f for f in ("t.thy", "t.prf", "t.seq"))
+        thy.write_text(theory)
+        prf.write_text(proof)
+        seq.write_text("h : (or A B) |- A\n")
+        code, out, _ = run("validate", str(thy))
+        assert code == 1 and "non-confusing: NO\n" in out
+        assert run("check", str(thy), str(prf), str(seq)) == (
+            2, "#verdict: error\n",
+            "error: theory's rewrite system is not non-confusing\n")
+
+    def test_validate_definition_by_cases(self, run, tmp_path):
+        # two connectives on one predicate, but the system is convergent
+        thy = tmp_path / "even.thy"
+        thy.write_text("sort nat. func 0 : nat. func S : nat -> nat. "
+                       "pred Even : nat. rule e0: (Even 0) ~> top. "
+                       "rule eS: (Even (S x)) ~> (imp (Even x) bot).\n")
+        assert run("validate", str(thy)) == (0, (
+            "lhs shapes ok: yes\nnon-confusing: yes\ncritical pairs: 0\n"
+            "locally confluent: yes\ntermination: lpo\n#verdict: ok\n"),
+            "")
+
     def test_validate_builtin_notes(self, run):
         code, out, _ = run("validate", "builtin:crabbe")
         assert code == 0
@@ -296,6 +340,34 @@ class TestShadowedBinders:
         code, out, err = run("prove", theory, f"(imp {hyp} {goal})")
         assert (code, err) == (2, "")
         assert out == "nodes: 10771\n#verdict: bound-exceeded\n"
+
+
+class TestOptions:
+    # each verb takes only the options its handler reads
+    TAKES = {
+        "validate": set(), "check": {"--fuel"}, "cuts": {"--fuel"},
+        "normalize": {"--fuel"}, "congruent": {"--fuel"},
+        "subformulae": {"--fuel"}, "eliminate": {"--depth", "--fuel"},
+        "unify": {"--depth", "--fuel", "--cap"},
+        "prove": {"--depth", "--fuel", "--cap"},
+        "probe": {"--depth", "--fuel", "--cap", "--hyp"},
+    }
+
+    def test_options_per_verb(self):
+        verbs = next(a for a in build_parser()._actions
+                     if a.dest == "command").choices
+        assert verbs.keys() == self.TAKES.keys()
+        for verb, sp in verbs.items():
+            assert set(sp._option_string_actions) - {"-h", "--help"} \
+                == self.TAKES[verb], verb
+
+    def test_validate_refuses_depth(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["validate", "builtin:addition", "--depth", "3"])
+        assert e.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "unrecognized arguments: --depth 3" in out.err
 
 
 class TestParserReuse:

@@ -6,6 +6,7 @@ from demod import (
     iff_axioms_to_rules, load_builtin, normalize_proof, print_node,
     reduce_cut,
 )
+from demod.kernel import free_labels, subst_hyp
 from demod import kernel
 from demod.errors import ProofError
 from demod.parsing import parse_proof, parse_prop, parse_sequent, print_proof
@@ -172,6 +173,53 @@ class TestCutReduction:
                         goal)
         with pytest.raises(ProofError):
             reduce_cut(empty, r.proof, ())
+
+
+class TestLabelScoping:
+    """A label binds in the subproof after it: imp_i's body, its own arm
+    of or_e, exists_e's body; never in the major premise."""
+
+    @pytest.mark.parametrize("text, free", [
+        ('(imp_i "h" (and_i (axiom "h") (axiom "g")))', {"g"}),
+        ('(or_e (axiom "a") "a" (axiom "a") "b" (axiom "b"))', {"a"}),
+        ('(or_e (axiom "d") "a" (and_i (axiom "a") (axiom "b"))'
+         ' "b" (and_i (axiom "a") (axiom "b")))', {"a", "b", "d"}),
+        ('(exists_e (axiom "k") (y : nat) "k" (axiom "k"))', {"k"}),
+        ('(exists_e (axiom "h") (y : nat) "k"'
+         ' (and_i (axiom "k") (axiom "g")))', {"h", "g"}),
+    ])
+    def test_free_labels(self, addition, text, free):
+        assert free_labels(parse_proof(text, addition.signature)) == free
+
+    @pytest.mark.parametrize("text, label, repl, want", [
+        # a shadowing binder stops the substitution
+        ('(and_i (axiom "h") (imp_i "h" (axiom "h")))', "h", '(top_i)',
+         '(and_i (top_i) (imp_i "h" (axiom "h")))'),
+        ('(or_e (axiom "a") "a" (axiom "a") "b" (axiom "a"))', "a",
+         '(top_i)', '(or_e (top_i) "a" (axiom "a") "b" (top_i))'),
+        ('(exists_e (axiom "k") (y : nat) "k" (axiom "k"))', "k",
+         '(top_i)', '(exists_e (top_i) (y : nat) "k" (axiom "k"))'),
+        # a binder that would capture a label free in the replacement
+        # is renamed in its own subproof only
+        ('(imp_i "g" (and_i (axiom "h") (axiom "g")))', "h", '(axiom "g")',
+         '(imp_i "g_1" (and_i (axiom "g") (axiom "g_1")))'),
+        ('(or_e (axiom "d") "a" (axiom "h")'
+         ' "b" (and_i (axiom "h") (axiom "b")))', "h", '(axiom "b")',
+         '(or_e (axiom "d") "a" (axiom "b")'
+         ' "b_1" (and_i (axiom "b") (axiom "b_1")))'),
+        ('(or_e (axiom "d") "a" (and_i (axiom "h") (axiom "a"))'
+         ' "a" (and_i (axiom "h") (axiom "a")))', "h", '(axiom "a")',
+         '(or_e (axiom "d") "a_1" (and_i (axiom "a") (axiom "a_1"))'
+         ' "a_2" (and_i (axiom "a") (axiom "a_2")))'),
+        ('(exists_e (axiom "e") (y : nat) "k"'
+         ' (and_i (axiom "h") (axiom "k")))', "h", '(axiom "k")',
+         '(exists_e (axiom "e") (y : nat) "k_1"'
+         ' (and_i (axiom "k") (axiom "k_1")))'),
+    ])
+    def test_subst_hyp(self, addition, text, label, repl, want):
+        sig = addition.signature
+        got = subst_hyp(parse_proof(text, sig), label, parse_proof(repl, sig))
+        assert print_proof(got) == want
 
 
 class TestCommuteConversions:

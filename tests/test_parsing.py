@@ -6,6 +6,9 @@ from demod.parsing import (
     parse_theory, print_proof, print_sequent, print_theory,
 )
 
+from demod.kernel import LAYOUT
+from demod.syntax import CONNECTIVES, RESERVED
+
 from conftest import random_prop
 
 
@@ -83,27 +86,38 @@ class TestProps:
         assert print_node(parse_node("(P 0)", sig)) == "(P 0)"
 
 
+# one proof per rule tag, each in the printer's canonical form
+PROOF_TEXTS = [
+    '(axiom "h")',
+    '(top_i)',
+    '(imp_i "h" (axiom "h"))',
+    '(imp_e (axiom "f") (axiom "a"))',
+    '(and_i (top_i) (top_i))',
+    '(and_e1 (axiom "h"))',
+    '(and_e2 (axiom "h"))',
+    '(or_i1 (top_i))',
+    '(or_i2 (top_i))',
+    '(or_e (axiom "d") "a" (axiom "a") "b" (axiom "b"))',
+    '(forall_i (x : nat) (top_i))',
+    '(forall_e (axiom "h") (S 0))',
+    '(exists_i 0 (axiom "h"))',
+    '(exists_e (axiom "h") (y : nat) "k" (axiom "k"))',
+    '(bot_e (axiom "h"))',
+    '(imp_i "h" (axiom "h") : (imp (P 0) (P 0)))',
+]
+
+
 class TestProofs:
-    @pytest.mark.parametrize("text", [
-        '(axiom "h")',
-        '(top_i)',
-        '(imp_i "h" (axiom "h"))',
-        '(imp_e (axiom "f") (axiom "a"))',
-        '(and_i (top_i) (top_i))',
-        '(and_e2 (axiom "h"))',
-        '(or_i1 (top_i))',
-        '(or_e (axiom "d") "a" (axiom "a") "b" (axiom "b"))',
-        '(forall_i (x : nat) (top_i))',
-        '(forall_e (axiom "h") (S 0))',
-        '(exists_i 0 (axiom "h"))',
-        '(exists_e (axiom "h") (y : nat) "k" (axiom "k"))',
-        '(bot_e (axiom "h"))',
-        '(imp_i "h" (axiom "h") : (imp (P 0) (P 0)))',
-    ])
+    @pytest.mark.parametrize("text", PROOF_TEXTS)
     def test_round_trip(self, addition, text):
-        sig = addition.signature
-        p = parse_proof(text, sig)
-        assert parse_proof(print_proof(p), sig) == p
+        assert print_proof(parse_proof(text, addition.signature)) == text
+
+    def test_cases_cover_every_tag(self):
+        assert {text[1:].split()[0].rstrip(")") for text in PROOF_TEXTS} \
+            == set(LAYOUT)
+
+    def test_tags_and_connectives_are_reserved(self):
+        assert set(LAYOUT) | set(CONNECTIVES.values()) <= RESERVED
 
     def test_unknown_tag(self, addition):
         with pytest.raises(ParseError):

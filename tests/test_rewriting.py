@@ -215,3 +215,19 @@ class TestNonConfusing:
         agree = RewriteSystem([*rs.rules[:2],
                                RewriteRule("r3", Atom("P"), And(*a_b))])
         assert check_nonconfusing(agree)
+
+    def test_term_rule_links_rules_that_do_not_overlap(self):
+        # (f a) ~> b turns (P (f a)) into (P b): P is both
+        from demod import And, Or
+        s = "s"
+        x, a, b = Var("x", s), App("a"), App("b")
+        a_b = (Atom("A"), Atom("B"))
+        rs = RewriteSystem([
+            RewriteRule("t", App("f", (a,)), b),
+            RewriteRule("p1", Atom("P", (App("f", (x,)),)), And(*a_b)),
+            RewriteRule("p2", Atom("P", (b,)), Or(*a_b)),
+        ])
+        assert not check_nonconfusing(rs)
+        # without the term rule nothing reaches both, but the criterion
+        # still refuses two connectives on one predicate
+        assert not check_nonconfusing(RewriteSystem(rs.rules[1:]))
