@@ -21,9 +21,9 @@ from .unification import (
     SolutionStream, UnificationProblem, narrow_unify, unify_syntactic,
 )
 from .kernel import (
-    CheckResult, CutReport, DefinitionalRules, NormalizedProof, Proof,
-    Sequent, check_proof, commute_conversions, find_cuts,
-    iff_axioms_to_rules, normalize_proof, reduce_cut,
+    CheckResult, DefinitionalRules, NormalizedProof, Proof, Sequent,
+    check_proof, commute_conversions, find_cuts, iff_axioms_to_rules,
+    normalize_proof, reduce_cut,
 )
 from .theories import (
     BUILTIN_NAMES, SubformulaSet, Theory, ValidationReport, load_builtin,

@@ -132,11 +132,11 @@ def _cmd_cuts(args) -> int:
     result = _checked(args)[2]
     if not result.ok:
         return _invalid(result)
-    report = find_cuts(result.proof)
+    cuts = find_cuts(result.proof)
     lines = [f"cut at {list(path)}: {intro}/{elim}"
-             for path, intro, elim in report.cuts]
-    lines.append(f"cuts: {len(report.cuts)}")
-    return _verdict("yes" if report.cuts else "no", lines)
+             for path, intro, elim in cuts]
+    lines.append(f"cuts: {len(cuts)}")
+    return _verdict("yes" if cuts else "no", lines)
 
 
 def _cmd_eliminate(args) -> int:
@@ -144,8 +144,9 @@ def _cmd_eliminate(args) -> int:
     if not result.ok:
         return _invalid(result)
     try:
-        normalized = normalize_proof(theory, result.proof, fuel=args.depth * 125,
-                                     goal=sequent, congruence_fuel=args.fuel)
+        normalized = normalize_proof(theory, result.proof, sequent,
+                                     fuel=args.depth * 125,
+                                     congruence_fuel=args.fuel)
     except FuelExhausted as e:
         return _verdict("fuel-exhausted",
                         [f"no normal form within the bound ({e.steps} steps)"])
@@ -196,6 +197,9 @@ OPTIONS = {
     "--hyp": dict(action="append", default=[],
                   help="extra hypothesis (repeatable)"),
 }
+# (verb, option): its help where the option means something else there
+HELP = {("eliminate", "--depth"):
+        "allows 125 × depth cut-reduction steps (default 8)"}
 FUEL = ("--fuel",)
 SEARCH = ("--depth", "--fuel", "--cap")
 PROOF_FILES = (("proof", "proof file ('-' for stdin)"),
@@ -239,7 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
         for name, arg_help in positionals:
             sp.add_argument(name, help=arg_help)
         for option in options:
-            sp.add_argument(option, **OPTIONS[option])
+            settings = OPTIONS[option]
+            if (verb, option) in HELP:
+                settings = dict(settings, help=HELP[verb, option])
+            sp.add_argument(option, **settings)
         sp.set_defaults(fn=fn)
     return ap
 

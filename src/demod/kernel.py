@@ -28,8 +28,9 @@ from .syntax import (
 )
 
 # rule tag -> its fields in concrete-syntax order: an int is the subproof
-# of that index, "label" or "label2" a hypothesis label bound in the next
-# subproof (axiom's label is a use), "eigen" a binder, "witness" a term
+# of that index, "label" or "label2" a hypothesis label and "eigen" an
+# eigenvariable, each bound in the next subproof (axiom's label is a
+# use), "witness" a term
 LAYOUT = {
     "axiom": ("label",), "top_i": (), "bot_e": (0,),
     "and_i": (0, 1), "and_e1": (0,), "and_e2": (0,),
@@ -40,21 +41,26 @@ LAYOUT = {
 }
 
 
-def _bound_labels(fields) -> tuple:
-    """Per subproof, the label field bound in it, or None."""
-    out, pending = [], None
+def _scopes(fields) -> tuple:
+    """Per subproof, the binder fields bound in it."""
+    out, pending = [], []
     for f in fields:
         if isinstance(f, int):
-            out.append(pending)
-            pending = None
-        elif f in ("label", "label2"):
-            pending = f
+            out.append(tuple(pending))
+            pending = []
+        elif f in ("label", "label2", "eigen"):
+            pending.append(f)
     return tuple(out)
 
 
 # derived once here: cut reduction builds proof nodes in a hot loop
-_BOUND_IN = {tag: _bound_labels(fields) for tag, fields in LAYOUT.items()}
+_BOUND_IN = {tag: _scopes(fields) for tag, fields in LAYOUT.items()}
 _ARITY = {tag: len(bound) for tag, bound in _BOUND_IN.items()}
+
+
+def _labels_bound(q: "Proof", fields) -> set:
+    return {getattr(q, f) for f in fields if f != "eigen"}
+
 
 # introduction tag -> the connective it proves
 _INTRODUCES = {"top_i": Top, "and_i": And, "or_i1": Or, "or_i2": Or,
@@ -108,17 +114,6 @@ class Sequent:
         labels = [l for l, _ in self.context]
         if len(labels) != len(set(labels)):
             raise ProofError("hypothesis labels must be unique")
-
-
-@dataclass(frozen=True)
-class CutReport:
-    cuts: tuple[tuple[Position, str, str], ...]  # (path, intro tag, elim tag)
-
-    def __bool__(self):
-        return bool(self.cuts)
-
-    def __len__(self):
-        return len(self.cuts)
 
 
 @dataclass(frozen=True)
@@ -356,21 +351,20 @@ def _eigen_fresh(ctx: dict, extra, y: Var, path: Position) -> None:
 # Cut detection
 
 
-def find_cuts(proof: Proof) -> CutReport:
-    """Every elimination whose major premise is the matching introduction.
+def find_cuts(proof: Proof) -> tuple[tuple[Position, str, str], ...]:
+    """Every elimination whose major premise is the matching introduction,
+    as (path, intro tag, elim tag).
 
     Purely structural on a checked proof: the side conditions relating
     the cut formulas were already verified modulo the congruence."""
     cuts: list[tuple[Position, str, str]] = []
     _collect_cuts(proof, (), cuts)
-    return CutReport(tuple(cuts))
+    return tuple(cuts)
 
 
 def _collect_cuts(p: Proof, path: Position, cuts: list) -> None:
-    if p.tag in CUT_PAIRS and p.children:
-        major = p.children[0]
-        if major.tag in CUT_PAIRS[p.tag]:
-            cuts.append((path, major.tag, p.tag))
+    if p.tag in CUT_PAIRS and p.children[0].tag in CUT_PAIRS[p.tag]:
+        cuts.append((path, p.children[0].tag, p.tag))
     for i, c in enumerate(p.children):
         _collect_cuts(c, path + (i,), cuts)
 
@@ -390,14 +384,15 @@ def _collect_free_labels(q: Proof, bound: frozenset, out: set) -> None:
         if q.label not in bound:
             out.add(q.label)
         return
-    for c, attr in zip(q.children, _BOUND_IN[q.tag]):
-        _collect_free_labels(c, bound | {getattr(q, attr)} if attr else bound,
-                             out)
+    for c, fields in zip(q.children, _BOUND_IN[q.tag]):
+        _collect_free_labels(
+            c, bound | _labels_bound(q, fields) if fields else bound, out)
 
 
 def _binders(q: Proof) -> set:
     """Labels this node binds in any of its children."""
-    return {getattr(q, attr) for attr in _BOUND_IN[q.tag] if attr}
+    return {getattr(q, f) for fields in _BOUND_IN[q.tag] for f in fields
+            if f != "eigen"}
 
 
 def _fresh_label(base: str, avoid: set) -> str:
@@ -422,8 +417,8 @@ def _subst_hyp(q: Proof, label: str, repl: Proof,
     if clash:
         q = _rename_binders(q, clash)
     kids = []
-    for c, attr in zip(q.children, _BOUND_IN[q.tag]):
-        if attr and getattr(q, attr) == label:
+    for c, fields in zip(q.children, _BOUND_IN[q.tag]):
+        if fields and label in _labels_bound(q, fields):
             kids.append(c)  # shadowed: leave untouched
         else:
             kids.append(_subst_hyp(c, label, repl, repl_free))
@@ -434,12 +429,14 @@ def _rename_binders(q: Proof, clash: set) -> Proof:
     avoid = set(free_labels(q)) | _binders(q)
     new = dict(q.__dict__)
     kids = list(q.children)
-    for i, attr in enumerate(_BOUND_IN[q.tag]):
-        if attr and getattr(q, attr) in clash:
+    for i, fields in enumerate(_BOUND_IN[q.tag]):
+        for attr in fields:
             b = getattr(q, attr)
-            new[attr] = _fresh_label(b, avoid)
-            avoid.add(new[attr])
-            kids[i] = subst_hyp(kids[i], b, Proof("axiom", label=new[attr]))
+            if attr != "eigen" and b in clash:
+                new[attr] = _fresh_label(b, avoid)
+                avoid.add(new[attr])
+                kids[i] = subst_hyp(kids[i], b,
+                                    Proof("axiom", label=new[attr]))
     new["children"] = tuple(kids)
     return Proof(**new)
 
@@ -457,28 +454,24 @@ def _proof_var_names(p: Proof) -> set[str]:
 
 
 def subst_terms_in_proof(s: Subst, p: Proof) -> Proof:
-    """Apply a term substitution to every formula annotation, witness
-    and eigenvariable scope in a proof."""
+    """Apply a term substitution to every formula annotation and witness
+    in a proof.  An eigenvariable is bound in the subproofs ``_BOUND_IN``
+    lists it for, and renamed there if a substituted term names it."""
     if not s:
         return p
+    inner = s
     if p.eigen is not None:
-        s = {v: t for v, t in s.items() if v != p.eigen}
-        if not s:
-            return p
-        inserted: set[str] = set()
-        for t in s.values():
-            inserted |= {w.name for w in free_vars(t)}
+        inner = {v: t for v, t in s.items() if v != p.eigen}
+        inserted = {w.name for t in inner.values() for w in free_vars(t)}
         if p.eigen.name in inserted:
-            avoid = inserted | _proof_var_names(p)
-            y2 = fresh_var(p.eigen, avoid)
-            old = p.eigen
-            p = dc_replace(
-                p, eigen=y2,
-                children=tuple(subst_terms_in_proof({old: y2}, c)
-                               for c in p.children))
+            y2 = fresh_var(p.eigen, inserted | _proof_var_names(p))
+            inner[p.eigen] = y2
+            p = dc_replace(p, eigen=y2)
     return dc_replace(
         p,
-        children=tuple(subst_terms_in_proof(s, c) for c in p.children),
+        children=tuple(
+            subst_terms_in_proof(inner if "eigen" in fields else s, c)
+            for c, fields in zip(p.children, _BOUND_IN[p.tag])),
         witness=apply_subst(s, p.witness) if p.witness is not None else None,
         conclusion=(apply_subst(s, p.conclusion)
                     if p.conclusion is not None else None),
@@ -489,12 +482,6 @@ def subst_terms_in_proof(s: Subst, p: Proof) -> Proof:
 # Cut reduction
 
 
-def _subproof_at(p: Proof, pos: Position) -> Proof:
-    for i in pos:
-        p = p.children[i]
-    return p
-
-
 def _replace_subproof(p: Proof, pos: Position, new: Proof) -> Proof:
     if not pos:
         return new
@@ -503,66 +490,37 @@ def _replace_subproof(p: Proof, pos: Position, new: Proof) -> Proof:
     return dc_replace(p, children=tuple(kids))
 
 
-def reduce_cut(theory, proof: Proof, position: Position,
-               fuel: int = DEFAULT_FUEL) -> Proof:
-    """Perform the standard proof reduction at a cut position.
+def reduce_cut(proof: Proof, position: Position) -> Proof:
+    """Perform the standard proof reduction at a cut position of a
+    checked proof.
 
-    The result proves a conclusion congruent to the original one; it may
-    of course still contain cuts."""
-    node = _subproof_at(proof, position)
-    if node.tag not in CUT_PAIRS or not node.children:
+    The rules and their reductions are those of plain natural deduction;
+    the theory entered only through the checker, whose annotations the
+    reduct keeps.  The result proves a conclusion congruent to the
+    original one; it may of course still contain cuts."""
+    node = proof
+    for i in position:
+        node = node.children[i]
+    major = node.children[0] if node.tag in CUT_PAIRS else None
+    if major is None or major.tag not in CUT_PAIRS[node.tag]:
         raise ProofError(f"position {position} is not a cut")
-    major = node.children[0]
-    if major.tag not in CUT_PAIRS[node.tag]:
-        raise ProofError(f"position {position} is not a cut")
-    ss = _Session(theory.system, fuel)
 
     if node.tag == "imp_e":
-        body = major.children[0]
-        minor = node.children[1]
-        if minor.conclusion is None and major.conclusion is not None:
-            g = ss.expose(major.conclusion)
-            if isinstance(g, Imp):
-                minor = minor.with_conclusion(g.left)
-        reduct = subst_hyp(body, major.label, minor)
+        reduct = subst_hyp(major.children[0], major.label, node.children[1])
     elif node.tag in ("and_e1", "and_e2"):
         reduct = major.children[0 if node.tag == "and_e1" else 1]
     elif node.tag == "or_e":
-        arm = major.children[0]
-        if arm.conclusion is None and major.conclusion is not None:
-            g = ss.expose(major.conclusion)
-            if isinstance(g, Or):
-                arm = arm.with_conclusion(
-                    g.left if major.tag == "or_i1" else g.right)
         branch, label = ((node.children[1], node.label)
                          if major.tag == "or_i1"
                          else (node.children[2], node.label2))
-        reduct = subst_hyp(branch, label, arm)
+        reduct = subst_hyp(branch, label, major.children[0])
     elif node.tag == "forall_e":
-        y = major.eigen
-        if y is None and major.conclusion is not None:
-            g = ss.expose(major.conclusion)
-            if isinstance(g, ForAll):
-                y = g.var
-        if y is None:
-            raise ProofError("forall_i node lacks an eigenvariable")
-        reduct = subst_terms_in_proof({y: node.witness}, major.children[0])
-    elif node.tag == "exists_e":
-        wit = major.witness
-        inner = major.children[0]
-        body = subst_terms_in_proof({node.eigen: wit}, node.children[1]) \
-            if node.eigen is not None else node.children[1]
-        if inner.conclusion is None and major.conclusion is not None:
-            g = ss.expose(major.conclusion)
-            if isinstance(g, Exists):
-                inner = inner.with_conclusion(
-                    apply_subst({g.var: wit}, g.body))
-        reduct = subst_hyp(body, node.label, inner)
-    else:
-        raise ProofError(f"no reduction for {node.tag}")
-
-    if reduct.conclusion is None and node.conclusion is not None:
-        reduct = reduct.with_conclusion(node.conclusion)
+        reduct = subst_terms_in_proof({major.eigen: node.witness},
+                                      major.children[0])
+    else:   # exists_e
+        body = subst_terms_in_proof({node.eigen: major.witness},
+                                    node.children[1])
+        reduct = subst_hyp(body, node.label, major.children[0])
     return _replace_subproof(proof, position, reduct)
 
 
@@ -572,23 +530,20 @@ class NormalizedProof:
     steps: int
 
 
-def normalize_proof(theory, proof: Proof, fuel: int = 1000,
-                    goal: Optional[Sequent] = None,
+def normalize_proof(theory, proof: Proof, goal: Sequent, fuel: int = 1000,
                     congruence_fuel: int = DEFAULT_FUEL) -> NormalizedProof:
-    """Repeatedly reduce the leftmost-innermost cut.
-
-    When a goal sequent is supplied, the proof is re-checked (and
-    re-annotated) after every step.  Raises FuelExhausted when the step
-    budget runs out -- the expected outcome on Crabbe-style theories."""
+    """Repeatedly reduce the leftmost-innermost cut, re-checking (and
+    re-annotating) the proof against the goal sequent after every step.
+    Raises FuelExhausted when the step budget runs out -- the expected
+    outcome on Crabbe-style theories."""
     steps = 0
     while True:
-        if goal is not None:
-            res = check_proof(theory, proof, goal, congruence_fuel)
-            if not res.ok:
-                raise ProofError(
-                    f"proof no longer checks at {res.path}: {res.message}")
-            proof = res.proof
-        cuts = find_cuts(proof).cuts
+        res = check_proof(theory, proof, goal, congruence_fuel)
+        if not res.ok:
+            raise ProofError(
+                f"proof no longer checks at {res.path}: {res.message}")
+        proof = res.proof
+        cuts = find_cuts(proof)
         if not cuts:
             return NormalizedProof(proof, steps)
         if steps >= fuel:
@@ -597,7 +552,7 @@ def normalize_proof(theory, proof: Proof, fuel: int = 1000,
         # the leftmost-innermost cut, first in post-order: a path sorts
         # after its descendants once it ends in infinity
         first = min((path for path, _, _ in cuts), key=lambda p: (*p, inf))
-        proof = reduce_cut(theory, proof, first, congruence_fuel)
+        proof = reduce_cut(proof, first)
         steps += 1
 
 

@@ -10,13 +10,13 @@ a bound is decidable; exploration is leftmost-first and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace as dc_replace
+from operator import is_
 from typing import Iterator, Optional
 
 from .errors import FuelExhausted, TheoryError
 from .kernel import (
     Proof, Sequent, _Session, check_proof, find_cuts, subst_hyp,
-    subst_terms_in_proof,
 )
 from .rewriting import DEFAULT_FUEL
 from .syntax import (
@@ -131,7 +131,8 @@ class _Search:
             problem = UnificationProblem.of([(hyp, goal)], self.rs, self.fuel)
         except ValueError:
             # binders, which the search decomposes first, or shapes that
-            # only a proposition rule could bridge
+            # only a proposition rule could bridge: space left unexplored
+            self.hit_bound = True
             return
         if problem is None:
             return
@@ -288,25 +289,21 @@ class _View:
         self.exposed: Optional[Proposition] = None
 
 
-def _resolve_metas(proof: Proof, s: Subst, counter: list) -> Proof:
-    """Apply the final substitution, then replace any still-unconstrained
-    metavariable by a fresh ordinary variable."""
-    proof = subst_terms_in_proof(s, proof)
-    leftovers: Subst = {}
-    _name_leftover_metas(proof, leftovers, counter)
-    return subst_terms_in_proof(leftovers, proof)
-
-
-def _name_leftover_metas(p: Proof, leftovers: Subst, counter: list) -> None:
-    """A fresh ordinary variable for every metavariable left in a witness,
-    in pre-order."""
-    if p.witness is not None:
-        for v in free_vars(p.witness):
+def _resolve_metas(p: Proof, s: Subst, leftovers: Subst, start: int) -> Proof:
+    """Apply the final substitution to the witnesses, the only place a
+    search proof holds metavariables, and name each metavariable still
+    unconstrained ``w<n>`` for n after ``start``, in pre-order."""
+    witness = p.witness
+    if witness is not None:
+        witness = apply_subst(s, witness)
+        for v in free_vars(witness):
             if _is_meta(v) and v not in leftovers:
-                counter[0] += 1
-                leftovers[v] = Var(f"w{counter[0]}", v.sort)
-    for c in p.children:
-        _name_leftover_metas(c, leftovers, counter)
+                leftovers[v] = Var(f"w{start + len(leftovers) + 1}", v.sort)
+        witness = apply_subst(leftovers, witness)
+    kids = tuple([_resolve_metas(c, s, leftovers, start) for c in p.children])
+    if witness is p.witness and all(map(is_, kids, p.children)):
+        return p
+    return dc_replace(p, witness=witness, children=kids)
 
 
 def search_proof(theory: Theory, goal: Sequent, depth: int = 8,
@@ -334,10 +331,12 @@ def search_proof(theory: Theory, goal: Sequent, depth: int = 8,
     engine = _Search(theory, fuel, narrow_depth, narrow_cap, node_cap)
     ctx = [_View(label, h, {}) for label, h in goal.context]
     for proof, s in engine.prove(ctx, goal.conclusion, depth, {}, set()):
-        proof = _resolve_metas(proof, s, [engine.counter])
+        proof = _resolve_metas(proof, s, {}, engine.counter)
         res = check_proof(theory, proof, goal, fuel)
         if not res.ok or find_cuts(res.proof):
-            continue  # defensive: skip unsound candidates
+            # defensive: skip an unsound candidate, which unsettles "fail"
+            engine.hit_bound = True
+            continue
         return SearchOutcome("proved", res.proof, engine.stats)
     status = "bound-exceeded" if engine.hit_bound else "fail"
     return SearchOutcome(status, None, engine.stats)

@@ -9,6 +9,7 @@ rewriting lets that atom sit anywhere inside a proposition.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from operator import is_not
 from typing import Optional
@@ -198,12 +199,19 @@ def _innermost(rs: RewriteSystem, x: Node, fuel: int) -> NormalForm:
     frame per term level: the children, left to right, then the root; a
     root step goes on with the rule's rhs under the match, whose bound
     subterms are normal and not visited again.  A node whose children
-    come back unchanged is returned as the same object."""
+    come back unchanged is returned as the same object.  A term that
+    outgrows the recursion limit runs out as if of fuel."""
     left = [fuel]   # steps still allowed
     try:
         return NormalForm(_nf(x, None, rs.by_head, left), fuel - left[0])
     except _Unwind as e:
         _out_of_fuel(e.args[0], fuel)
+    except RecursionError:
+        steps = fuel - left[0]
+        raise FuelExhausted(
+            f"the term outgrew the recursion limit of "
+            f"{sys.getrecursionlimit()} after {steps} steps",
+            steps=steps) from None
 
 
 def _nf(pattern: Node, s: Optional[Subst], by_head: dict, left: list) -> Node:
@@ -399,14 +407,13 @@ class ConfluenceReport:
 def check_local_confluence(rs: RewriteSystem,
                            fuel: int = DEFAULT_FUEL) -> ConfluenceReport:
     """Test every critical pair for joinability by normalization within
-    fuel.  A reduct that grows deeper than the interpreter's recursion
-    limit before its fuel runs out is unknown too."""
+    fuel; a pair whose normalization runs out is unknown."""
     joinable, failures, unknown = [], [], []
     for cp in critical_pairs(rs):
         try:
             nl = normalize(rs, cp.left, fuel).value
             nr = normalize(rs, cp.right, fuel).value
-        except (FuelExhausted, RecursionError):
+        except FuelExhausted:
             unknown.append(CriticalPair(
                 cp.peak, cp.left, cp.right, cp.position,
                 cp.inner_rule, cp.outer_rule, "unknown"))

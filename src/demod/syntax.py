@@ -511,16 +511,16 @@ def _wf_args(sig, head, args, arg_sorts, path) -> WfResult:
 # binders.  This is the round-trip format used by every other module.
 
 
-def print_term(t: Term, annotate_vars: bool = False) -> str:
+def print_term(t: Term) -> str:
     if isinstance(t, Var):
-        return f"{t.name}:{t.sort}" if annotate_vars else t.name
+        return t.name
     if isinstance(t, Hole):
         return "_"
     if not t.args:
         return t.fn
     parts = [f"({t.fn}"]
     for a in t.args:
-        parts.append(print_term(a, annotate_vars))
+        parts.append(print_term(a))
     return " ".join(parts) + ")"
 
 

@@ -65,7 +65,7 @@ def test_criterion_3_crabbe_triple():
         '(imp_i "h" (imp_e (axiom "h") (axiom "h"))))', sig)
     goal = parse_sequent("|- Q", sig)
     checked = check_proof(crabbe, proof, goal)
-    has_cut = checked.ok and len(find_cuts(checked.proof).cuts) >= 1
+    has_cut = checked.ok and len(find_cuts(checked.proof)) >= 1
     diverged = False
     if checked.ok:
         try:
@@ -170,7 +170,7 @@ def test_criterion_7_disjunction_property():
         out = search_proof(theory, goal, depth=8)
         if not out.proved or out.proof.tag not in ("or_i1", "or_i2"):
             ok = False
-        elif find_cuts(out.proof).cuts:
+        elif find_cuts(out.proof):
             ok = False
     report(7, ok, f"all {len(DISJUNCTION_GOALS)} proved closed disjunctions "
                   "are cut-free and end with an or-introduction")
@@ -307,7 +307,7 @@ def _mutation_suite(rng):
         mutated = _wrap_at(base.proof, rng.choice(paths), f"_m{mut}", TOP)
         count += 1
         checked = check_proof(theory, mutated, goal)
-        if not checked.ok or not find_cuts(checked.proof).cuts:
+        if not checked.ok or not find_cuts(checked.proof):
             bad += 1
             continue
         try:
@@ -316,7 +316,7 @@ def _mutation_suite(rng):
             bad += 1
             continue
         final = check_proof(theory, n.proof, goal)
-        if not final.ok or find_cuts(n.proof).cuts:
+        if not final.ok or find_cuts(n.proof):
             bad += 1
     return count, bad
 

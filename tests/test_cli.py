@@ -1,6 +1,8 @@
 import contextlib
 import io
 import pathlib
+import re
+import sys
 
 import pytest
 
@@ -37,6 +39,18 @@ class TestNormalize:
         code, out, _ = run("normalize", "builtin:crabbe", "P", "--fuel", "50")
         assert code == 2
         assert verdict(out) == "fuel-exhausted"
+
+    def test_outgrows_recursion_limit(self, run, tmp_path):
+        # one level deeper per step: the stack runs out before the fuel
+        thy = tmp_path / "grow.thy"
+        thy.write_text("sort s. func a : s. func b : s. func g : s -> s. "
+                       "func f : s s -> s. rule r0: (g y) ~> (f (g y) b).\n")
+        code, out, err = run("normalize", str(thy), "(g a)")
+        assert (code, err) == (2, "")
+        limit = sys.getrecursionlimit()
+        assert re.fullmatch(f"the term outgrew the recursion limit of {limit} "
+                            r"after \d+ steps\n#verdict: fuel-exhausted\n",
+                            out), out
 
 
 class TestCongruent:
@@ -118,6 +132,26 @@ class TestCheckAndCuts:
         assert code == 1
         assert "cuts: 0" in out
 
+    def test_eliminate_substitutes_major_premise(self, run, tmp_path):
+        # exists_e binds its eigenvariable y in its body only, so the
+        # forall cut replaces the y of the major premise's witness by c
+        files = {
+            "e.thy": "sort s. func c : s. pred Q.\n",
+            "e.prf": '(forall_e (forall_i (y : s) (exists_e (forall_e '
+                     '(axiom "k") y) (y : s) "h" (imp_i "q" (axiom "q")) : '
+                     '(imp Q Q)) : (forall (x : s) (imp Q Q))) c)\n',
+            "e.seq": "k : (forall (z : s) (exists (w : s) top)) "
+                     "|- (imp Q Q)\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        code, out, err = run("eliminate", *(str(tmp_path / n) for n in files))
+        assert (code, err) == (0, "")
+        assert out == (
+            '(exists_e (forall_e (axiom "k" : (forall (z : s) (exists (w : s)'
+            ' top))) c : (exists (w : s) top)) (y : s) "h" (imp_i "q" '
+            '(axiom "q" : Q) : (imp Q Q)) : (imp Q Q))\nsteps: 1\n'
+            '#verdict: ok\n')
+
     def test_invalid_proof(self, run, tmp_path):
         bad = tmp_path / "bad.prf"
         bad.write_text('(axiom "nope")')
@@ -138,6 +172,36 @@ class TestProveAndProbe:
         code, out, _ = run("prove", "builtin:empty", "P")
         assert code == 1
         assert verdict(out) == "fail"
+
+    def test_prove_witness_names_eigenvariable(self, run, tmp_path):
+        # the witness is the eigenvariable x_1, which stays as it is
+        thy = tmp_path / "q.thy"
+        thy.write_text("sort s. func a : s. pred P : s.\n")
+        code, out, err = run(
+            "prove", str(thy), "(forall (x : s) (exists (y : s) "
+            "(imp (P y) (P x))))")
+        assert (code, err) == (0, "")
+        assert out == (
+            '(forall_i (x_1 : s) (exists_i x_1:s (imp_i "_h3" (axiom "_h3" :'
+            ' (P x_1)) : (imp (P x_1) (P x_1))) : (exists (y : s) (imp (P y)'
+            ' (P x_1)))) : (forall (x : s) (exists (y : s) (imp (P y) '
+            '(P x)))))\nnodes: 4\n#verdict: proved\n')
+
+    def test_prove_unexplored_bridge_not_fail(self, run, tmp_path):
+        # only rule r bridges A and (P ?m), which unification cannot
+        # use; (imp_i "h" (exists_i (f a) (axiom "h"))) proves the goal
+        thy = tmp_path / "bridge.thy"
+        thy.write_text("sort s. func a : s. func f : s -> s. pred P : s. "
+                       "pred A. rule r: (P (f x)) ~> A.\n")
+        code, out, err = run("prove", str(thy),
+                             "(imp A (exists (x : s) (P x)))")
+        assert (code, err) == (2, "")
+        assert out == "nodes: 3\n#verdict: bound-exceeded\n"
+        proof, goal = tmp_path / "p.prf", tmp_path / "p.seq"
+        proof.write_text('(imp_i "h" (exists_i (f a) (axiom "h")))')
+        goal.write_text("|- (imp A (exists (x : s) (P x)))")
+        assert run("check", str(thy), str(proof), str(goal)) == (
+            0, "#verdict: ok\n", "")
 
     def test_probe_consistent(self, run):
         code, out, _ = run("probe", "builtin:empty", "--depth", "6")

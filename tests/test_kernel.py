@@ -101,9 +101,9 @@ class TestCrabbe:
 
     def test_has_a_cut(self, crabbe):
         r = chk(crabbe, self.PROOF, '|- Q')
-        report = find_cuts(r.proof)
-        assert len(report.cuts) >= 1
-        assert report.cuts[0][1:] == ("imp_i", "imp_e")
+        cuts = find_cuts(r.proof)
+        assert len(cuts) >= 1
+        assert cuts[0][1:] == ("imp_i", "imp_e")
 
     def test_normalization_diverges(self, crabbe):
         r = chk(crabbe, self.PROOF, '|- Q')
@@ -119,7 +119,7 @@ class TestCutReduction:
         r = check_proof(theory, parse_proof(proof_text, sig), goal)
         assert r.ok, r.message
         n = normalize_proof(theory, r.proof, goal=goal)
-        assert not find_cuts(n.proof).cuts
+        assert not find_cuts(n.proof)
         again = check_proof(theory, n.proof, goal)
         assert again.ok
         assert print_proof(n.proof) == expect_normal
@@ -164,15 +164,46 @@ class TestCutReduction:
             '(imp_e (imp_i "h" (axiom "h") : (imp top top)) (top_i))',
             empty.signature)
         r = check_proof(empty, p, goal)
-        reduced = reduce_cut(empty, r.proof, ())
+        reduced = reduce_cut(r.proof, ())
         assert check_proof(empty, reduced, goal).ok
+
+    def reduce_once(self, theory, proof_text, sequent_text):
+        sig = theory.signature
+        goal = parse_sequent(sequent_text, sig)
+        r = check_proof(theory, parse_proof(proof_text, sig), goal)
+        assert r.ok, r.message
+        reduced = reduce_cut(r.proof, ())
+        assert check_proof(theory, reduced, goal).ok
+        return print_proof(reduced)
+
+    def test_reduce_forall_cut_renames_eigenvariable(self, addition):
+        # the witness y would be captured by the inner eigenvariable y
+        assert self.reduce_once(
+            addition,
+            '(forall_e (forall_i (x : nat) (forall_i (y : nat) (imp_i "h" '
+            '(axiom "h"))) : (forall (x : nat) (forall (y : nat) '
+            '(imp (P x) (P x))))) y:nat)',
+            '|- (forall (z : nat) (imp (P y:nat) (P y:nat)))') == (
+            '(forall_i (y_1 : nat) (imp_i "h" (axiom "h" : (P y)) : '
+            '(imp (P y) (P y))) : (forall (y_1 : nat) (imp (P y) (P y))))')
+
+    def test_reduce_exists_cut_renames_eigenvariable(self, addition):
+        # the witness x replaces y under the eigenvariable x of the body
+        assert self.reduce_once(
+            addition,
+            '(exists_e (exists_i x:nat (top_i) : (exists (z : nat) top)) '
+            '(y : nat) "k" (forall_i (x : nat) (exists_i y (axiom "k"))))',
+            '|- (forall (u : nat) (exists (v : nat) top))') == (
+            '(forall_i (x_1 : nat) (exists_i x:nat (top_i : top) : '
+            '(exists (v : nat) top)) : (forall (u : nat) (exists (v : nat) '
+            'top)))')
 
     def test_reduce_cut_rejects_non_cut(self, empty):
         goal = parse_sequent('h : P |- P', empty.signature)
         r = check_proof(empty, parse_proof('(axiom "h")', empty.signature),
                         goal)
         with pytest.raises(ProofError):
-            reduce_cut(empty, r.proof, ())
+            reduce_cut(r.proof, ())
 
 
 class TestLabelScoping:

@@ -49,7 +49,7 @@ class TestSearch:
         goal = Sequent((), parse_prop("(imp (and P Q) (and Q P))",
                                       empty.signature))
         assert check_proof(empty, out.proof, goal).ok
-        assert not find_cuts(out.proof).cuts
+        assert not find_cuts(out.proof)
 
     def test_modulo_rules_used(self, def_conj):
         assert prove(def_conj, "(imp (and A B) P)").proved
@@ -76,6 +76,12 @@ class TestSearch:
             parse_prop("(P (plus (S 0) 0))", sig))
         out = search_proof(addition, goal, depth=6)
         assert out.proved
+
+    def test_rejected_candidates_are_not_fail(self, empty, monkeypatch):
+        # a candidate the kernel refuses leaves the bounded space unsettled
+        refuse = kernel.CheckResult(False, None, (), "refused")
+        monkeypatch.setattr(prover, "check_proof", lambda *a: refuse)
+        assert prove(empty, "(imp P P)").status == "bound-exceeded"
 
     def test_bad_depth_rejected(self, empty):
         with pytest.raises(ValueError):
