@@ -22,8 +22,8 @@ from .unification import (
 )
 from .kernel import (
     CheckResult, DefinitionalRules, NormalizedProof, Proof, Sequent,
-    check_proof, commute_conversions, find_cuts, iff_axioms_to_rules,
-    normalize_proof, reduce_cut,
+    check_proof, find_cuts, iff_axioms_to_rules, normalize_proof,
+    reduce_cut,
 )
 from .theories import (
     BUILTIN_NAMES, SubformulaSet, Theory, ValidationReport, load_builtin,

@@ -14,7 +14,7 @@ conclusion annotation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
-from math import inf
+from operator import is_not
 from typing import Optional
 
 from .errors import FuelExhausted, ProofError, RuleError
@@ -405,14 +405,19 @@ def _fresh_label(base: str, avoid: set) -> str:
 def subst_hyp(p: Proof, label: str, repl: Proof) -> Proof:
     """Replace every use of hypothesis `label` by the derivation `repl`,
     stopping at shadowing binders and renaming binders that would
-    capture a hypothesis free in `repl`."""
+    capture a hypothesis free in `repl`.  An unannotated axiom `repl`
+    renames the hypothesis, and each use keeps its annotation."""
     return _subst_hyp(p, label, repl, free_labels(repl))
 
 
 def _subst_hyp(q: Proof, label: str, repl: Proof,
                repl_free: frozenset) -> Proof:
     if q.tag == "axiom":
-        return repl if q.label == label else q
+        if q.label != label:
+            return q
+        if repl.tag == "axiom" and repl.conclusion is None:
+            return dc_replace(q, label=repl.label)
+        return repl
     clash = _binders(q) & repl_free
     if clash:
         q = _rename_binders(q, clash)
@@ -532,64 +537,50 @@ class NormalizedProof:
 
 def normalize_proof(theory, proof: Proof, goal: Sequent, fuel: int = 1000,
                     congruence_fuel: int = DEFAULT_FUEL) -> NormalizedProof:
-    """Repeatedly reduce the leftmost-innermost cut, re-checking (and
-    re-annotating) the proof against the goal sequent after every step.
-    Raises FuelExhausted when the step budget runs out -- the expected
-    outcome on Crabbe-style theories."""
-    steps = 0
+    """Reduce the leftmost-innermost cut until none is left.
+
+    The proof is checked against the goal sequent on entry, normalized
+    in one post-order pass of ``reduce_cut`` alone, and checked once
+    more at the end, which re-annotates the normal form.  No check is
+    needed in between: every reduct of a proof checked modulo a
+    non-confusing theory proves a congruent conclusion (Dowek & Werner,
+    *Proof normalization modulo*, 2003), so the final check is a safety
+    net.  Raises FuelExhausted when the step budget runs out -- the
+    expected outcome on Crabbe-style theories."""
+    steps = [0]
+    proof = _normal_form(_annotated(theory, proof, goal, congruence_fuel),
+                         steps, fuel)
+    return NormalizedProof(
+        _annotated(theory, proof, goal, congruence_fuel), steps[0])
+
+
+def _annotated(theory, proof: Proof, goal: Sequent, fuel: int) -> Proof:
+    res = check_proof(theory, proof, goal, fuel)
+    if not res.ok:
+        raise ProofError(
+            f"proof no longer checks at {res.path}: {res.message}")
+    return res.proof
+
+
+def _normal_form(p: Proof, steps: list, fuel: int) -> Proof:
+    """Normalize the children left to right, then reduce the node while
+    it is a cut, counting each step in ``steps[0]``.  A reduction changes
+    only the subtree at the node and everything before it in post-order
+    is cut-free, so this is the leftmost-innermost order.  The reduct is
+    looped on, not recursed into: a cut that reduces to itself uses no
+    stack."""
     while True:
-        res = check_proof(theory, proof, goal, congruence_fuel)
-        if not res.ok:
-            raise ProofError(
-                f"proof no longer checks at {res.path}: {res.message}")
-        proof = res.proof
-        cuts = find_cuts(proof)
-        if not cuts:
-            return NormalizedProof(proof, steps)
-        if steps >= fuel:
+        kids = tuple([_normal_form(c, steps, fuel) for c in p.children])
+        if any(map(is_not, kids, p.children)):
+            p = dc_replace(p, children=kids)
+        majors = CUT_PAIRS.get(p.tag)
+        if majors is None or p.children[0].tag not in majors:
+            return p
+        if steps[0] == fuel:
             raise FuelExhausted(
-                f"proof still has cuts after {steps} reductions", steps=steps)
-        # the leftmost-innermost cut, first in post-order: a path sorts
-        # after its descendants once it ends in infinity
-        first = min((path for path, _, _ in cuts), key=lambda p: (*p, inf))
-        proof = reduce_cut(proof, first)
-        steps += 1
-
-
-# ---------------------------------------------------------------------------
-# Commuting conversions (optional pass, not counted as cuts)
-
-
-_PERMUTABLE = frozenset({"and_e1", "and_e2", "imp_e", "forall_e", "bot_e"})
-
-
-def commute_conversions(proof: Proof, fuel: int = 1000) -> Proof:
-    """Push eliminations through or_e / exists_e major premises.
-
-    A separate optional pass; these permutations are not cuts and are
-    never required by the checker."""
-    for _ in range(fuel):
-        new = _commute_once(proof)
-        if new is None:
-            return proof
-        proof = new
-    raise FuelExhausted("commuting conversions did not converge")
-
-
-def _commute_once(p: Proof) -> Optional[Proof]:
-    major = p.children[0] if p.children else None
-    if p.tag in _PERMUTABLE and major is not None \
-            and major.tag in ("or_e", "exists_e"):
-        arms = tuple(dc_replace(p, children=(arm,) + p.children[1:])
-                     for arm in major.children[1:])
-        return dc_replace(major, children=(major.children[0], *arms),
-                          conclusion=p.conclusion)
-    for i, c in enumerate(p.children):
-        new = _commute_once(c)
-        if new is not None:
-            kids = p.children[:i] + (new,) + p.children[i + 1:]
-            return dc_replace(p, children=kids)
-    return None
+                f"proof still has cuts after {fuel} reductions", steps=fuel)
+        steps[0] += 1
+        p = reduce_cut(p, ())
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from .kernel import (
 from .rewriting import DEFAULT_FUEL
 from .syntax import (
     And, Atom, BOT, Bottom, Exists, ForAll, Imp, Or, Proposition, Subst,
-    Top, Var, alpha_key, apply_subst, compose, free_vars, wellformed,
+    Top, Var, alpha_key, apply_subst, compose, free_vars, positions,
+    wellformed,
 )
 from .theories import Theory
 from .unification import UnificationProblem, narrow_unify
@@ -292,12 +293,13 @@ class _View:
 def _resolve_metas(p: Proof, s: Subst, leftovers: Subst, start: int) -> Proof:
     """Apply the final substitution to the witnesses, the only place a
     search proof holds metavariables, and name each metavariable still
-    unconstrained ``w<n>`` for n after ``start``, in pre-order."""
+    unconstrained ``w<n>`` for n after ``start``, in pre-order, left to
+    right within a witness."""
     witness = p.witness
     if witness is not None:
         witness = apply_subst(s, witness)
-        for v in free_vars(witness):
-            if _is_meta(v) and v not in leftovers:
+        for _, v in positions(witness):
+            if isinstance(v, Var) and _is_meta(v) and v not in leftovers:
                 leftovers[v] = Var(f"w{start + len(leftovers) + 1}", v.sort)
         witness = apply_subst(leftovers, witness)
     kids = tuple([_resolve_metas(c, s, leftovers, start) for c in p.children])

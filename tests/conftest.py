@@ -1,7 +1,9 @@
-"""Shared helpers: seeded random term and proposition generators, and a
-terminal summary hook for the acceptance criteria lines."""
+"""Shared helpers: seeded random term and proposition generators, a
+per-step reference for cut elimination, and a terminal summary hook for
+the acceptance criteria lines."""
 
 import random
+from math import inf
 
 import pytest
 
@@ -16,7 +18,8 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from demod import (
-    And, App, Atom, BOT, Exists, ForAll, Imp, Or, TOP, Var, load_builtin,
+    And, App, Atom, BOT, Exists, ForAll, FuelExhausted, Imp, Or, TOP, Var,
+    check_proof, find_cuts, load_builtin, reduce_cut,
 )
 
 
@@ -69,6 +72,29 @@ def random_prop(rng, sig, depth=3, vars_pool=(), quantifiers=True):
     body = random_prop(rng, sig, depth - 1, tuple(vars_pool) + (v,),
                        quantifiers)
     return (ForAll if kind == 6 else Exists)(v, body)
+
+
+def stepwise_normalize(theory, proof, goal, fuel=1000):
+    """Cut elimination the slow way, as a reference for
+    ``normalize_proof``: check the whole proof, reduce the first cut in
+    post-order among all that ``find_cuts`` lists (the leftmost-innermost
+    one), and check again after every step.  Returns the annotated
+    normal form and the step count; raises FuelExhausted(steps=fuel)
+    when a cut is left after ``fuel`` steps.  An intermediate proof that
+    does not check fails the calling test."""
+    steps = 0
+    while True:
+        res = check_proof(theory, proof, goal)
+        assert res.ok, f"after {steps} steps, at {res.path}: {res.message}"
+        cuts = find_cuts(res.proof)
+        if not cuts:
+            return res.proof, steps
+        if steps == fuel:
+            raise FuelExhausted(steps=fuel)
+        # a path sorts after its descendants once it ends in infinity
+        first = min((path for path, _, _ in cuts), key=lambda p: (*p, inf))
+        proof = reduce_cut(res.proof, first)
+        steps += 1
 
 
 @pytest.fixture

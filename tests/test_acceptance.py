@@ -16,11 +16,13 @@ from demod import (
     normalize_proof, print_node, search_proof, subformula_closure,
     unify_syntactic,
 )
-from demod.parsing import parse_proof, parse_prop, parse_sequent, parse_term
+from demod.parsing import (
+    parse_proof, parse_prop, parse_sequent, parse_term, print_proof,
+)
 from demod.syntax import QUANT
 
 import conftest
-from conftest import random_prop, random_term
+from conftest import random_prop, random_term, stepwise_normalize
 
 SEED = 20260823
 
@@ -310,13 +312,17 @@ def _mutation_suite(rng):
         if not checked.ok or not find_cuts(checked.proof):
             bad += 1
             continue
+        # subject preservation at every step: the per-step reference
+        # checks each intermediate proof, and normalize_proof must agree
         try:
+            want, steps = stepwise_normalize(theory, checked.proof, goal)
             n = normalize_proof(theory, checked.proof, goal=goal)
-        except FuelExhausted:
+        except (AssertionError, FuelExhausted):
             bad += 1
             continue
         final = check_proof(theory, n.proof, goal)
-        if not final.ok or find_cuts(n.proof):
+        if not final.ok or find_cuts(n.proof) or (
+                print_proof(n.proof), n.steps) != (print_proof(want), steps):
             bad += 1
     return count, bad
 

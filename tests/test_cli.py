@@ -1,11 +1,14 @@
 import contextlib
 import io
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
 
+import demod
 from demod.cli import build_parser, main
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -202,6 +205,23 @@ class TestProveAndProbe:
         goal.write_text("|- (imp A (exists (x : s) (P x)))")
         assert run("check", str(thy), str(proof), str(goal)) == (
             0, "#verdict: ok\n", "")
+
+    def test_prove_witness_independent_of_hash_seed(self, tmp_path):
+        # two leftover metavariables are named left to right in the
+        # witness, not in the order of a set of variables
+        thy = tmp_path / "f.thy"
+        thy.write_text("sort s. func f : s s -> s. pred P : s.\n")
+        argv = [sys.executable, "-m", "demod.cli", "prove", str(thy),
+                "(imp (forall (x : s) (forall (z : s) (P (f x z)))) "
+                "(exists (y : s) (P y)))"]
+        src = str(pathlib.Path(demod.__file__).resolve().parent.parent)
+        outs = [subprocess.run(
+            argv, capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        ).stdout for seed in ("1", "3")]
+        assert outs[0] == outs[1]
+        assert outs[0].startswith(
+            '(imp_i "_h1" (exists_i (f w17 w18) (forall_e (forall_e ')
 
     def test_probe_consistent(self, run):
         code, out, _ = run("probe", "builtin:empty", "--depth", "6")

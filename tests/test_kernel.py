@@ -1,15 +1,21 @@
+import random
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from demod import (
-    App, Atom, FuelExhausted, Imp, Proof, RewriteRule, RewriteSystem,
-    Sequent, Theory, Var, check_proof, commute_conversions, find_cuts,
-    iff_axioms_to_rules, load_builtin, normalize_proof, print_node,
-    reduce_cut,
+    And, App, Atom, Bottom, Exists, ForAll, FuelExhausted, Imp, Or, Proof,
+    RewriteSystem, Sequent, TOP, Theory, Top, Var, apply_subst,
+    check_proof, find_cuts, free_vars, iff_axioms_to_rules, load_builtin,
+    normalize_proof, print_node, reduce_cut,
 )
 from demod.kernel import free_labels, subst_hyp
 from demod import kernel
 from demod.errors import ProofError
 from demod.parsing import parse_proof, parse_prop, parse_sequent, print_proof
+
+from conftest import random_prop, random_term, stepwise_normalize
 
 
 def chk(theory, proof_text, sequent_text):
@@ -206,6 +212,352 @@ class TestCutReduction:
             reduce_cut(r.proof, ())
 
 
+LABELS = ("h", "g", "k")   # few names, so binders shadow and capture
+
+
+class CutProofs:
+    """Random proofs that check under a builtin theory, built from
+    introductions, eliminations of hypotheses and cuts of all six kinds.
+
+    ``proof`` returns a proof and the conclusion it is checked against.
+    Hypothesis labels come from a pool of three, so substitution meets
+    shadowing binders and renames capturing ones.  The body of an imp
+    cut often eliminates its own hypothesis, so the reduction creates a
+    new cut when the minor premise is an introduction.  Stated
+    conclusions are sometimes replaced by congruent ones, so the kernel
+    must use the theory's congruence."""
+
+    CUTS = ("imp", "imp", "and_e", "or", "forall", "exists")
+    KINDS = ("and_i", "or_i", "imp_i", "forall_i", "exists_i", "elim",
+             "elim") + CUTS
+
+    def __init__(self, rng, theory):
+        self.rng = rng
+        self.sig = theory.signature
+        self.sort = sorted(self.sig.sorts)[0]
+        self.session = kernel._Session(theory.system, 1000)
+        self.n = 0
+
+    def sample(self, depth):
+        """A proof and its sequent; half of them end in a cut."""
+        labels = self.rng.sample(LABELS, self.rng.randrange(3))
+        ctx = tuple((l, self.prop(())) for l in labels)
+        if self.rng.random() < 0.5:
+            kind = self.rng.choice(self.CUTS)
+            proof, c = getattr(self, f"_{kind}")(ctx, (), depth - 1)
+        else:
+            proof, c = self.proof(ctx, (), depth)
+        return proof, Sequent(ctx, self.disguise(c))
+
+    def var(self, base):
+        self.n += 1
+        return Var(f"{base}{self.n}", self.sort)
+
+    def eigen(self, ctx, scope, *avoid):
+        """An eigenvariable free in neither ``ctx`` nor ``avoid``, and the
+        scope it opens.  Half the time it reuses the name x or y, so a
+        substitution can meet a binder named like a variable it
+        inserts."""
+        taken = {v.name for p in (*(h for _, h in ctx), *avoid)
+                 for v in free_vars(p)}
+        names = [n for n in ("x", "y") if n not in taken]
+        if names and self.rng.random() < 0.5:
+            y = Var(self.rng.choice(names), self.sort)
+        else:
+            y = self.var("e")
+        return y, tuple(v for v in scope if v.name != y.name) + (y,)
+
+    def prop(self, scope):
+        return random_prop(self.rng, self.sig, self.rng.randrange(3), scope)
+
+    def term(self, scope):
+        if scope and self.rng.random() < 0.7:
+            return self.variant(self.rng.choice(scope))
+        return random_term(self.rng, self.sig, self.sort, 1, scope)
+
+    def variant(self, t):
+        """``t``, or under addition sometimes the congruent (plus 0 t)."""
+        if "plus" in self.sig.functions and self.rng.random() < 0.3:
+            return App("plus", (App("0"), t))
+        return t
+
+    def disguise(self, c):
+        """``c``, or half the time a congruent proposition."""
+        if self.rng.random() < 0.5:
+            return c
+        if "A" in self.sig.predicates and c == And(Atom("A"), Atom("B")):
+            return Atom("P")   # def-conj
+        if isinstance(c, Atom) and c.args and "plus" in self.sig.functions:
+            return Atom(c.pred, tuple(App("plus", (App("0"), a))
+                                      for a in c.args))
+        return c
+
+    def proof(self, ctx, scope, depth):
+        if depth <= 0 or self.rng.random() < 0.15:
+            return self.leaf(dict(ctx))
+        kind = self.rng.choice(self.KINDS)
+        return getattr(self, f"_{kind}")(ctx, scope, depth - 1)
+
+    def leaf(self, hyps):
+        if hyps and self.rng.random() < 0.7:
+            label = self.rng.choice(sorted(hyps))
+            return Proof("axiom", label=label), hyps[label]
+        return Proof("top_i", conclusion=TOP), TOP
+
+    def easy(self, hyps, goal):
+        """A small proof of ``goal`` from ``hyps``, or None."""
+        g = self.session.expose(goal)
+        for label, h in sorted(hyps.items()):
+            if self.session.congruent(h, goal):
+                return Proof("axiom", label=label)
+        if isinstance(g, Top):
+            return Proof("top_i", conclusion=goal)
+        if isinstance(g, And):
+            parts = (self.easy(hyps, g.left), self.easy(hyps, g.right))
+            if None not in parts:
+                return Proof("and_i", parts, conclusion=goal)
+        elif isinstance(g, Imp):
+            label = self.rng.choice(LABELS)
+            body = self.easy({**hyps, label: g.left}, g.right)
+            if body is not None:
+                return Proof("imp_i", (body,), label=label, conclusion=goal)
+        elif isinstance(g, Or):
+            for tag, side in (("or_i1", g.left), ("or_i2", g.right)):
+                arm = self.easy(hyps, side)
+                if arm is not None:
+                    return Proof(tag, (arm,), conclusion=goal)
+        return None
+
+    # introductions
+
+    def _and_i(self, ctx, scope, depth):
+        (l, a), (r, b) = (self.proof(ctx, scope, depth) for _ in "lr")
+        return Proof("and_i", (l, r), conclusion=And(a, b)), And(a, b)
+
+    def _or_i(self, ctx, scope, depth):
+        p, a = self.proof(ctx, scope, depth)
+        other = self.prop(scope)
+        tag, c = (("or_i1", Or(a, other)) if self.rng.random() < 0.5
+                  else ("or_i2", Or(other, a)))
+        return Proof(tag, (p,), conclusion=c), c
+
+    def _imp_i(self, ctx, scope, depth):
+        label, a = self.rng.choice(LABELS), self.prop(scope)
+        body, b = self.proof(ctx + ((label, a),), scope, depth)
+        c = Imp(a, b)
+        return Proof("imp_i", (body,), label=label, conclusion=c), c
+
+    def _forall_i(self, ctx, scope, depth):
+        x, inner = self.eigen(ctx, scope)
+        body, b = self.proof(ctx, inner, depth)
+        c = ForAll(x, b)
+        return Proof("forall_i", (body,), eigen=x, conclusion=c), c
+
+    def _exists_i(self, ctx, scope, depth):
+        body, b = self.proof(ctx, scope, depth)
+        z = self.var("z")
+        if scope:   # abstract a variable in scope, then give it back
+            v = self.rng.choice(scope)
+            w = self.variant(v)
+            b = apply_subst({v: z}, b)
+        else:       # a vacuous quantifier
+            w = self.term(scope)
+        c = Exists(z, b)
+        return Proof("exists_i", (body,), witness=w, conclusion=c), c
+
+    # eliminations of a hypothesis, or of an introduction in a cut
+
+    def _elim(self, ctx, scope, depth):
+        hyps = dict(ctx)
+        if not hyps:
+            return self.leaf(hyps)
+        label = self.rng.choice(sorted(hyps))
+        return self.eliminate(Proof("axiom", label=label), hyps[label],
+                              ctx, scope, depth)
+
+    def eliminate(self, major, a, ctx, scope, depth):
+        g = self.session.expose(a)
+        if isinstance(g, And):
+            if self.rng.random() < 0.5:
+                return Proof("and_e1", (major,)), g.left
+            return Proof("and_e2", (major,)), g.right
+        if isinstance(g, ForAll):
+            t = self.term(scope)
+            c = apply_subst({g.var: t}, g.body)
+            return Proof("forall_e", (major,), witness=t), c
+        if isinstance(g, Imp):
+            minor = self.easy(dict(ctx), g.left)
+            if minor is not None:
+                return Proof("imp_e", (major, minor)), g.right
+        if isinstance(g, Or):
+            return self.cases(major, g.left, g.right, ctx, scope, depth)
+        if isinstance(g, Exists):
+            return self.unpack(major, g, ctx, scope, depth)
+        if isinstance(g, Bottom):
+            c = self.prop(scope)
+            return Proof("bot_e", (major,), conclusion=c), c
+        return major, a
+
+    def cases(self, major, left, right, ctx, scope, depth):
+        """or_e on ``major``, a proof of (or left right)."""
+        l1, l2 = self.rng.choice(LABELS), self.rng.choice(LABELS)
+        arm1, c = self.proof(ctx + ((l1, left),), scope, depth)
+        arm2 = self.easy({**dict(ctx), l2: right}, c)
+        if arm2 is None and l1 not in free_labels(arm1):
+            arm2, l2 = arm1, l1
+        if arm2 is None:   # swap the disjuncts
+            c = Or(right, left)
+            arm1 = Proof("or_i2", (Proof("axiom", label=l1),), conclusion=c)
+            arm2 = Proof("or_i1", (Proof("axiom", label=l2),), conclusion=c)
+        return Proof("or_e", (major, arm1, arm2), label=l1, label2=l2,
+                     conclusion=c), c
+
+    def unpack(self, major, g, ctx, scope, depth):
+        """exists_e on ``major``, a proof of ``g``."""
+        y, inner = self.eigen(ctx, scope, g)
+        label = self.rng.choice(LABELS)
+        body, c = self.proof(
+            ctx + ((label, apply_subst({g.var: y}, g.body)),), inner, depth)
+        if y in free_vars(c):   # hide the eigenvariable again
+            z = self.var("z")
+            c = Exists(z, apply_subst({y: z}, c))
+            body = Proof("exists_i", (body,), witness=y, conclusion=c)
+        return Proof("exists_e", (major, body), eigen=y, label=label,
+                     conclusion=c), c
+
+    # cuts
+
+    def _imp(self, ctx, scope, depth):
+        minor, a = self.proof(ctx, scope, depth)
+        a = self.disguise(a)
+        label = self.rng.choice(LABELS)
+        inner = ctx + ((label, a),)
+        if self.rng.random() < 0.5:
+            body, b = self.eliminate(Proof("axiom", label=label), a, inner,
+                                     scope, depth)
+        else:
+            body, b = self.proof(inner, scope, depth)
+        major = Proof("imp_i", (body,), label=label, conclusion=Imp(a, b))
+        return Proof("imp_e", (major, minor)), b
+
+    def _and_e(self, ctx, scope, depth):
+        (l, a), (r, b) = (self.proof(ctx, scope, depth) for _ in "lr")
+        major = Proof("and_i", (l, r), conclusion=self.disguise(And(a, b)))
+        return self.eliminate(major, And(a, b), ctx, scope, depth)
+
+    def _or(self, ctx, scope, depth):
+        major, c = self._or_i(ctx, scope, depth)
+        return self.cases(major, c.left, c.right, ctx, scope, depth)
+
+    def _forall(self, ctx, scope, depth):
+        major, c = self._forall_i(ctx, scope, depth)
+        return self.eliminate(major, c, ctx, scope, depth)
+
+    def _exists(self, ctx, scope, depth):
+        major, c = self._exists_i(ctx, scope, depth)
+        return self.unpack(major, c, ctx, scope, depth)
+
+
+CUT_THEORIES = {name: load_builtin(name)
+                for name in ("empty", "def-conj", "addition")}
+
+
+def _cut_proof(name, seed):
+    theory = CUT_THEORIES[name]
+    proof, goal = CutProofs(random.Random(seed), theory).sample(depth=5)
+    checked = check_proof(theory, proof, goal)
+    assert checked.ok, (print_proof(proof), checked.path, checked.message)
+    return theory, checked.proof, goal
+
+
+class TestNormalizeAgainstStepwise:
+    @pytest.mark.parametrize("name", sorted(CUT_THEORIES))
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_same_normal_form_steps_and_fuel(self, name, seed):
+        theory, proof, goal = _cut_proof(name, seed)
+        want, steps = stepwise_normalize(theory, proof, goal)
+        got = normalize_proof(theory, proof, goal)
+        assert (print_proof(got.proof), got.steps) \
+            == (print_proof(want), steps)
+        if steps:
+            fuel = random.Random(seed).randrange(steps)
+            with pytest.raises(FuelExhausted) as ref:
+                stepwise_normalize(theory, proof, goal, fuel)
+            with pytest.raises(FuelExhausted) as new:
+                normalize_proof(theory, proof, goal, fuel=fuel)
+            assert new.value.steps == ref.value.steps == fuel
+
+    def test_renamed_hypothesis_keeps_its_annotation(self, addition):
+        # the imp cut renames the binder "b", which would capture the
+        # minor premise's free "b"; the exists cut then renames the
+        # eigenvariable u, which must avoid the u_1 of b_1's formula,
+        # found only on the renamed axiom's annotation
+        sig = addition.signature
+        goal = parse_sequent('b : (P 0) |- (imp (and (P u_1:nat) top) '
+                             '(forall (u : nat) top))', sig)
+        proof = parse_proof(
+            '(imp_e (imp_i "h" (imp_i "b" (exists_e (axiom "h") (y : nat) '
+            '"k" (forall_i (u : nat) (and_e2 (axiom "b"))))) : (imp (exists '
+            '(v : nat) (imp top (P 0))) (imp (and (P u_1:nat) top) (forall '
+            '(u : nat) top)))) (exists_i u:nat (imp_i "z" (axiom "b"))))', sig)
+        want, steps = stepwise_normalize(addition, proof, goal)
+        got = normalize_proof(addition, proof, goal)
+        assert (print_proof(got.proof), got.steps) \
+            == (print_proof(want), steps) == (
+            '(imp_i "b_1" (forall_i (u_2 : nat) (and_e2 (axiom "b_1" : '
+            '(and (P u_1) top)) : top) : (forall (u : nat) top)) : (imp '
+            '(and (P u_1) top) (forall (u : nat) top)))', 2)
+
+    def test_generator_covers_every_cut(self):
+        # every cut kind occurs, and some reduction creates a cut
+        kinds, created = set(), 0
+        for name in CUT_THEORIES:
+            for seed in range(40):
+                theory, proof, goal = _cut_proof(name, seed)
+                cuts = find_cuts(proof)
+                kinds |= {elim for _, _, elim in cuts}
+                _, steps = stepwise_normalize(theory, proof, goal)
+                created += steps > len(cuts)
+        assert kinds == {"imp_e", "and_e1", "and_e2", "or_e", "forall_e",
+                         "exists_e"}
+        assert created > 0
+
+
+class TestNormalizationWork:
+    """The work of normalize_proof, counted on the module globals it
+    calls, without timing."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for name in ("check_proof", "reduce_cut"):
+            def counted(*args, _fn=getattr(kernel, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(kernel, name, counted)
+        return counts
+
+    def test_cut_chain_checks_twice(self, empty, calls):
+        proof = '(axiom "h")'
+        for k in range(320):
+            proof = (f'(imp_e (imp_i "h_{k}" (axiom "h_{k}") : (imp P P)) '
+                     f'{proof})')
+        sig = empty.signature
+        n = normalize_proof(empty, parse_proof(proof, sig),
+                            parse_sequent('h : P |- P', sig))
+        assert (print_proof(n.proof), n.steps) == ('(axiom "h" : P)', 320)
+        assert calls == {"reduce_cut": 320, "check_proof": 2}
+
+    def test_crabbe_runs_out_after_one_check(self, crabbe, calls):
+        sig = crabbe.signature
+        with pytest.raises(FuelExhausted) as e:
+            normalize_proof(crabbe, parse_proof(TestCrabbe.PROOF, sig),
+                            parse_sequent('|- Q', sig), fuel=1000)
+        assert e.value.steps == 1000
+        assert calls == {"reduce_cut": 1000, "check_proof": 1}
+
+
 class TestLabelScoping:
     """A label binds in the subproof after it: imp_i's body, its own arm
     of or_e, exists_e's body; never in the major premise."""
@@ -251,20 +603,6 @@ class TestLabelScoping:
         sig = addition.signature
         got = subst_hyp(parse_proof(text, sig), label, parse_proof(repl, sig))
         assert print_proof(got) == want
-
-
-class TestCommuteConversions:
-    def test_pushes_through_or_e(self, empty):
-        goal = parse_sequent('d : (or P P) |- P', empty.signature)
-        p = parse_proof(
-            '(and_e1 (or_e (axiom "d") "a" (and_i (axiom "a") (top_i))'
-            ' "b" (and_i (axiom "b") (top_i)) : (and P top)))',
-            empty.signature)
-        r = check_proof(empty, p, goal)
-        assert r.ok
-        cc = commute_conversions(r.proof)
-        assert cc.tag == "or_e"
-        assert check_proof(empty, cc, goal).ok
 
 
 class TestIffAxiomsToRules:
