@@ -405,19 +405,18 @@ def _fresh_label(base: str, avoid: set) -> str:
 def subst_hyp(p: Proof, label: str, repl: Proof) -> Proof:
     """Replace every use of hypothesis `label` by the derivation `repl`,
     stopping at shadowing binders and renaming binders that would
-    capture a hypothesis free in `repl`.  An unannotated axiom `repl`
-    renames the hypothesis, and each use keeps its annotation."""
+    capture a hypothesis free in `repl`."""
     return _subst_hyp(p, label, repl, free_labels(repl))
 
 
-def _subst_hyp(q: Proof, label: str, repl: Proof,
-               repl_free: frozenset) -> Proof:
+def _subst_hyp(q: Proof, label: str, repl: Proof, repl_free: frozenset,
+               rename: bool = False) -> Proof:
+    """With ``rename``, `repl` is an axiom whose label each use of
+    `label` takes, keeping its own annotation."""
     if q.tag == "axiom":
         if q.label != label:
             return q
-        if repl.tag == "axiom" and repl.conclusion is None:
-            return dc_replace(q, label=repl.label)
-        return repl
+        return dc_replace(q, label=repl.label) if rename else repl
     clash = _binders(q) & repl_free
     if clash:
         q = _rename_binders(q, clash)
@@ -426,7 +425,7 @@ def _subst_hyp(q: Proof, label: str, repl: Proof,
         if fields and label in _labels_bound(q, fields):
             kids.append(c)  # shadowed: leave untouched
         else:
-            kids.append(_subst_hyp(c, label, repl, repl_free))
+            kids.append(_subst_hyp(c, label, repl, repl_free, rename))
     return dc_replace(q, children=tuple(kids))
 
 
@@ -440,8 +439,9 @@ def _rename_binders(q: Proof, clash: set) -> Proof:
             if attr != "eigen" and b in clash:
                 new[attr] = _fresh_label(b, avoid)
                 avoid.add(new[attr])
-                kids[i] = subst_hyp(kids[i], b,
-                                    Proof("axiom", label=new[attr]))
+                kids[i] = _subst_hyp(kids[i], b,
+                                     Proof("axiom", label=new[attr]),
+                                     frozenset({new[attr]}), rename=True)
     new["children"] = tuple(kids)
     return Proof(**new)
 
@@ -576,9 +576,10 @@ def _normal_form(p: Proof, steps: list, fuel: int) -> Proof:
         majors = CUT_PAIRS.get(p.tag)
         if majors is None or p.children[0].tag not in majors:
             return p
-        if steps[0] == fuel:
+        if steps[0] >= fuel:
             raise FuelExhausted(
-                f"proof still has cuts after {fuel} reductions", steps=fuel)
+                f"proof still has cuts after {steps[0]} reductions",
+                steps=steps[0])
         steps[0] += 1
         p = reduce_cut(p, ())
 

@@ -79,9 +79,9 @@ def stepwise_normalize(theory, proof, goal, fuel=1000):
     ``normalize_proof``: check the whole proof, reduce the first cut in
     post-order among all that ``find_cuts`` lists (the leftmost-innermost
     one), and check again after every step.  Returns the annotated
-    normal form and the step count; raises FuelExhausted(steps=fuel)
-    when a cut is left after ``fuel`` steps.  An intermediate proof that
-    does not check fails the calling test."""
+    normal form and the step count; raises FuelExhausted when a cut is
+    left after ``fuel`` steps.  An intermediate proof that does not
+    check fails the calling test."""
     steps = 0
     while True:
         res = check_proof(theory, proof, goal)
@@ -89,8 +89,8 @@ def stepwise_normalize(theory, proof, goal, fuel=1000):
         cuts = find_cuts(res.proof)
         if not cuts:
             return res.proof, steps
-        if steps == fuel:
-            raise FuelExhausted(steps=fuel)
+        if steps >= fuel:
+            raise FuelExhausted(steps=steps)
         # a path sorts after its descendants once it ends in infinity
         first = min((path for path, _, _ in cuts), key=lambda p: (*p, inf))
         proof = reduce_cut(res.proof, first)

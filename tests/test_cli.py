@@ -129,6 +129,28 @@ class TestCheckAndCuts:
         assert code == 2
         assert verdict(out) == "fuel-exhausted"
 
+    def test_eliminate_negative_depth_allows_no_step(self, run, tmp_path):
+        # a budget of 125 × depth steps below zero is exhausted at the
+        # first cut, on a proof that diverges and on one that terminates
+        code, out, _ = run("eliminate", "builtin:crabbe",
+                           "corpus/crabbe_q.prf", "corpus/crabbe_q.goal",
+                           "--depth", "-1")
+        assert (code, out) == (2, "no normal form within the bound "
+                               "(0 steps)\n#verdict: fuel-exhausted\n")
+        files = {"a.thy": "pred A.\n",
+                 "a.prf": '(imp_e (imp_i "h" (axiom "h") : (imp (imp A A) '
+                          '(imp A A))) (imp_i "x" (axiom "x")))\n',
+                 "a.seq": "|- (imp A A)\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / name) for name in files]
+        code, out, _ = run("eliminate", *argv, "--depth", "-1")
+        assert (code, out) == (2, "no normal form within the bound "
+                               "(0 steps)\n#verdict: fuel-exhausted\n")
+        assert run("eliminate", *argv, "--depth", "1") == (
+            0, '(imp_i "x" (axiom "x" : A) : (imp A A))\nsteps: 1\n'
+               '#verdict: ok\n', "")
+
     def test_identity_no_cuts(self, run):
         code, out, _ = run("cuts", "builtin:empty",
                            "corpus/identity.prf", "corpus/identity.goal")

@@ -481,12 +481,13 @@ class TestNormalizeAgainstStepwise:
         assert (print_proof(got.proof), got.steps) \
             == (print_proof(want), steps)
         if steps:
-            fuel = random.Random(seed).randrange(steps)
+            # a negative fuel allows no step, as zero does
+            fuel = random.Random(seed).randrange(-2, steps)
             with pytest.raises(FuelExhausted) as ref:
                 stepwise_normalize(theory, proof, goal, fuel)
             with pytest.raises(FuelExhausted) as new:
                 normalize_proof(theory, proof, goal, fuel=fuel)
-            assert new.value.steps == ref.value.steps == fuel
+            assert new.value.steps == ref.value.steps == max(fuel, 0)
 
     def test_renamed_hypothesis_keeps_its_annotation(self, addition):
         # the imp cut renames the binder "b", which would capture the
@@ -598,6 +599,11 @@ class TestLabelScoping:
          ' (and_i (axiom "h") (axiom "k")))', "h", '(axiom "k")',
          '(exists_e (axiom "e") (y : nat) "k_1"'
          ' (and_i (axiom "k") (axiom "k_1")))'),
+        # an unannotated axiom replaces a use, annotation and all; the
+        # renamed binder's own uses keep theirs
+        ('(and_i (axiom "h" : top) (imp_i "g" (axiom "g" : (P 0))))', "h",
+         '(axiom "g")',
+         '(and_i (axiom "g") (imp_i "g_1" (axiom "g_1" : (P 0))))'),
     ])
     def test_subst_hyp(self, addition, text, label, repl, want):
         sig = addition.signature
