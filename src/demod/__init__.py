@@ -8,7 +8,7 @@ from .errors import (
 from .syntax import (
     And, App, Atom, BOT, Bottom, Exists, ForAll, Hole, Imp, Or, Signature,
     TOP, Top, Var, alpha_eq, alpha_key, apply_subst, compose, free_vars,
-    fresh_var, make_signature, neg, print_node, print_prop, print_term,
+    fresh_var, make_signature, print_node, print_prop, print_term,
     term_sort, wellformed,
 )
 from .rewriting import (

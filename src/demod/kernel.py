@@ -458,24 +458,27 @@ def _proof_var_names(p: Proof) -> set[str]:
     return out
 
 
-def subst_terms_in_proof(s: Subst, p: Proof) -> Proof:
+def subst_terms_in_proof(s: Subst, p: Proof, avoid=None) -> Proof:
     """Apply a term substitution to every formula annotation and witness
     in a proof.  An eigenvariable is bound in the subproofs ``_BOUND_IN``
-    lists it for, and renamed there if a substituted term names it."""
+    lists it for, and renamed there if a substituted term names it, to a
+    name outside the proof and the set ``avoid``, which then holds it."""
     if not s:
         return p
+    avoid = set() if avoid is None else avoid
     inner = s
     if p.eigen is not None:
         inner = {v: t for v, t in s.items() if v != p.eigen}
         inserted = {w.name for t in inner.values() for w in free_vars(t)}
         if p.eigen.name in inserted:
-            y2 = fresh_var(p.eigen, inserted | _proof_var_names(p))
+            y2 = fresh_var(p.eigen, inserted | _proof_var_names(p) | avoid)
+            avoid.add(y2.name)
             inner[p.eigen] = y2
             p = dc_replace(p, eigen=y2)
     return dc_replace(
         p,
         children=tuple(
-            subst_terms_in_proof(inner if "eigen" in fields else s, c)
+            subst_terms_in_proof(inner if "eigen" in fields else s, c, avoid)
             for c, fields in zip(p.children, _BOUND_IN[p.tag])),
         witness=apply_subst(s, p.witness) if p.witness is not None else None,
         conclusion=(apply_subst(s, p.conclusion)
@@ -495,14 +498,15 @@ def _replace_subproof(p: Proof, pos: Position, new: Proof) -> Proof:
     return dc_replace(p, children=tuple(kids))
 
 
-def reduce_cut(proof: Proof, position: Position) -> Proof:
+def reduce_cut(proof: Proof, position: Position, avoid=None) -> Proof:
     """Perform the standard proof reduction at a cut position of a
     checked proof.
 
     The rules and their reductions are those of plain natural deduction;
     the theory entered only through the checker, whose annotations the
     reduct keeps.  The result proves a conclusion congruent to the
-    original one; it may of course still contain cuts."""
+    original one; it may of course still contain cuts.  A renamed
+    eigenvariable avoids ``avoid`` too (see ``normalize_proof``)."""
     node = proof
     for i in position:
         node = node.children[i]
@@ -521,10 +525,10 @@ def reduce_cut(proof: Proof, position: Position) -> Proof:
         reduct = subst_hyp(branch, label, major.children[0])
     elif node.tag == "forall_e":
         reduct = subst_terms_in_proof({major.eigen: node.witness},
-                                      major.children[0])
+                                      major.children[0], avoid)
     else:   # exists_e
         body = subst_terms_in_proof({node.eigen: major.witness},
-                                    node.children[1])
+                                    node.children[1], avoid)
         reduct = subst_hyp(body, node.label, major.children[0])
     return _replace_subproof(proof, position, reduct)
 
@@ -548,8 +552,10 @@ def normalize_proof(theory, proof: Proof, goal: Sequent, fuel: int = 1000,
     net.  Raises FuelExhausted when the step budget runs out -- the
     expected outcome on Crabbe-style theories."""
     steps = [0]
-    proof = _normal_form(_annotated(theory, proof, goal, congruence_fuel),
-                         steps, fuel)
+    proof = _annotated(theory, proof, goal, congruence_fuel)
+    avoid = _proof_var_names(proof).union(   # and each name picked
+        *({v.name for v in free_vars(h)} for _, h in goal.context))
+    proof = _normal_form(proof, steps, fuel, avoid)
     return NormalizedProof(
         _annotated(theory, proof, goal, congruence_fuel), steps[0])
 
@@ -562,7 +568,7 @@ def _annotated(theory, proof: Proof, goal: Sequent, fuel: int) -> Proof:
     return res.proof
 
 
-def _normal_form(p: Proof, steps: list, fuel: int) -> Proof:
+def _normal_form(p: Proof, steps: list, fuel: int, avoid: set) -> Proof:
     """Normalize the children left to right, then reduce the node while
     it is a cut, counting each step in ``steps[0]``.  A reduction changes
     only the subtree at the node and everything before it in post-order
@@ -570,7 +576,8 @@ def _normal_form(p: Proof, steps: list, fuel: int) -> Proof:
     looped on, not recursed into: a cut that reduces to itself uses no
     stack."""
     while True:
-        kids = tuple([_normal_form(c, steps, fuel) for c in p.children])
+        kids = tuple([_normal_form(c, steps, fuel, avoid)
+                      for c in p.children])
         if any(map(is_not, kids, p.children)):
             p = dc_replace(p, children=kids)
         majors = CUT_PAIRS.get(p.tag)
@@ -581,7 +588,7 @@ def _normal_form(p: Proof, steps: list, fuel: int) -> Proof:
                 f"proof still has cuts after {steps[0]} reductions",
                 steps=steps[0])
         steps[0] += 1
-        p = reduce_cut(p, ())
+        p = reduce_cut(p, (), avoid)
 
 
 # ---------------------------------------------------------------------------

@@ -334,7 +334,7 @@ class CriticalPair:
 def _rename_apart(rule: RewriteRule, avoid: set[str]) -> RewriteRule:
     ren: Subst = {}
     taken = set(avoid)
-    for v in sorted(free_vars(rule.lhs), key=lambda w: w.name):
+    for v in sorted(free_vars(rule.lhs), key=lambda w: (w.name, w.sort)):
         if v.name in taken:
             v2 = fresh_var(v, taken)
             ren[v] = v2

@@ -3,7 +3,8 @@
 All values are immutable after construction; every operation here is a
 pure function, so values can be shared freely between threads.  (Two
 derived values are kept on the node they were computed from; see
-``free_vars``.  Writing one is idempotent.)
+``free_vars``.  Writing one is idempotent.)  Variables are interned:
+one ``Var`` per name and sort, so their ``==`` and ``hash`` are identity.
 
 Negation is not primitive: write ``Imp(a, BOT)``.
 """
@@ -78,10 +79,24 @@ def make_signature(sorts, functions, predicates) -> Signature:
 # Terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Var:
+    """Interned by ``__new__``, which copy, pickle and ``replace`` use."""
+
     name: str
     sort: str
+    _interned = {}   # (name, sort) -> the Var; not a dataclass field
+
+    def __new__(cls, name: str, sort: str):
+        v = cls._interned.get((name, sort))
+        if v is None:   # racing threads: setdefault keeps the first
+            v = object.__new__(cls)
+            v.__dict__.update(name=name, sort=sort)
+            v = cls._interned.setdefault((name, sort), v)
+        return v
+
+    def __reduce__(self):
+        return Var, (self.name, self.sort)
 
     def __repr__(self):
         return f"{self.name}:{self.sort}"
@@ -197,10 +212,6 @@ CONNECTIVES = {Top: "top", Bottom: "bot", And: "and", Or: "or", Imp: "imp",
                ForAll: "forall", Exists: "exists"}
 
 
-def neg(a: Proposition) -> Imp:
-    return Imp(a, BOT)
-
-
 def is_term(x: Node) -> bool:
     return isinstance(x, (Var, App, Hole))
 
@@ -235,12 +246,6 @@ def with_children(x: Node, kids: tuple) -> Node:
     return x
 
 
-def subterm_at(x: Node, pos: Position) -> Node:
-    for i in pos:
-        x = children(x)[i]
-    return x
-
-
 def replace_at(x: Node, pos: Position, new: Node) -> Node:
     if not pos:
         return new
@@ -265,6 +270,8 @@ def positions(x: Node) -> Iterator[tuple[Position, Node]]:
 # ``object.__setattr__``, outside the dataclass fields, so ``==``,
 # ``hash``, ``repr`` and ``dataclasses.fields`` do not see them.  Neither
 # is kept on terms: narrowing asks about most fresh terms only once.
+# Variables hash by identity, so a set of them iterates in address
+# order: sort it by name wherever that order could reach output.
 
 
 def free_vars(x: Node) -> frozenset[Var]:
@@ -303,15 +310,6 @@ def term_sort(sig: Signature, t: Term) -> str:
 # deterministic suffix counters when needed.
 
 Subst = dict  # dict[Var, Term]
-
-
-def check_substitution(sig: Signature, s: Subst) -> None:
-    """Raise SortError unless every binding is sort-preserving."""
-    for v, t in s.items():
-        ts = term_sort(sig, t)
-        if ts != v.sort:
-            raise SortError(
-                f"substitution maps {v.name}:{v.sort} to a term of sort {ts}")
 
 
 def fresh_var(base: Var, avoid: set[str]) -> Var:
@@ -365,13 +363,14 @@ def _subst(s: Subst, x: Node) -> Node:
     return x   # Hole, Top, Bottom
 
 
-def compose(s1: Subst, s2: Subst) -> Subst:
-    """Substitution equal to applying s1 first, then s2."""
+def compose(s1: Subst, s2: Subst, keep=None) -> Subst:
+    """Substitution equal to applying s1 first, then s2.  With ``keep``,
+    a set holding s1's variables, only the bindings of its variables."""
     out = {v: _subst(s2, t) if s2 else t for v, t in s1.items()}
     for v, t in s2.items():
-        if v not in out:
+        if v not in out and (keep is None or v in keep):
             out[v] = t
-    return {v: t for v, t in out.items() if t != v}
+    return {v: t for v, t in out.items() if t is not v}
 
 
 # ---------------------------------------------------------------------------

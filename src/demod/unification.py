@@ -183,9 +183,7 @@ def _key_walk(t: Term, names: dict, out: list) -> None:
 
 
 def _norm(rs: RewriteSystem, t: Node, fuel: int) -> Node:
-    if rs.convergent:
-        return normalize(rs, t, fuel).value
-    return t
+    return normalize(rs, t, fuel).value if rs.convergent else t
 
 
 def narrow_unify(problem: UnificationProblem, depth: int = 8,
@@ -196,24 +194,21 @@ def narrow_unify(problem: UnificationProblem, depth: int = 8,
     emission; duplicates modulo variable renaming are removed.  Bound
     overruns are flagged in the stream, never silent.  Once per expanded
     state, its pairs are unified and the rules renamed apart from its
-    variables.  A state keeps the bindings of the problem's variables
-    only: nothing else reaches its key or a solution."""
+    variables.  Every side of a state is normal, and a step normalizes
+    only the sides it changes.  A state keeps the bindings of the
+    problem's variables only: nothing else reaches its key or a
+    solution."""
     if depth <= 0 or cap <= 0:
         raise ValueError("bounds must be positive")
     rs = problem.system
-    problem_vars = set()
-    for l, r in problem.pairs:
-        problem_vars |= free_vars(l) | free_vars(r)
-
-    ordered_vars = sorted(problem_vars, key=lambda w: w.name)
+    problem_vars = set().union(*(free_vars(t) for pair in problem.pairs
+                                 for t in pair))
+    ordered_vars = sorted(problem_vars, key=lambda w: (w.name, w.sort))
 
     def state_key(pairs, acc):
         nodes = [n for pr in pairs for n in pr]
         nodes += [acc.get(v, v) for v in ordered_vars]
         return _variant_key(nodes)
-
-    def restrict(s):
-        return {v: t for v, t in s.items() if v in problem_vars}
 
     start = tuple((_norm(rs, l, fuel), _norm(rs, r, fuel))
                   for l, r in problem.pairs)
@@ -227,7 +222,7 @@ def narrow_unify(problem: UnificationProblem, depth: int = 8,
         pairs, acc, d = queue.popleft()
         mgu = unify_pairs(pairs)
         if mgu is not None:
-            sol = restrict(compose(acc, mgu))
+            sol = compose(acc, mgu, problem_vars)
             key = _variant_key([sol.get(v, v) for v in ordered_vars])
             if key not in seen_solutions and _verified(problem, sol, fuel):
                 seen_solutions.add(key)
@@ -244,14 +239,13 @@ def narrow_unify(problem: UnificationProblem, depth: int = 8,
                 complete = False
             continue
         for k, pos, rhs, u in steps:
-            # side k narrowed, every side instantiated; a side with no
-            # variable that u binds is kept as it is
-            new = [t if j == k or vs.isdisjoint(u) else apply_subst(u, t)
-                   for j, (t, vs) in enumerate(sides)]
-            new[k] = apply_subst(u, replace_at(sides[k][0], pos, rhs))
-            new = [_norm(rs, t, fuel) for t in new]
+            # side k narrowed and each side u instantiates, normalized
+            # once; a side with no variable that u binds is kept as it is
+            new = [t if j != k and vs.isdisjoint(u) else _norm(rs, apply_subst(
+                u, replace_at(t, pos, rhs) if j == k else t), fuel)
+                for j, (t, vs) in enumerate(sides)]
             normed = tuple(zip(new[0::2], new[1::2]))
-            acc2 = restrict(compose(acc, u))
+            acc2 = compose(acc, u, problem_vars)
             key = state_key(normed, acc2)
             if key in seen_states:
                 continue

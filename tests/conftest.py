@@ -19,7 +19,7 @@ def pytest_terminal_summary(terminalreporter):
 
 from demod import (
     And, App, Atom, BOT, Exists, ForAll, FuelExhausted, Imp, Or, TOP, Var,
-    check_proof, find_cuts, load_builtin, reduce_cut,
+    check_proof, find_cuts, free_vars, load_builtin, reduce_cut,
 )
 
 
@@ -81,11 +81,18 @@ def stepwise_normalize(theory, proof, goal, fuel=1000):
     one), and check again after every step.  Returns the annotated
     normal form and the step count; raises FuelExhausted when a cut is
     left after ``fuel`` steps.  An intermediate proof that does not
-    check fails the calling test."""
+    check fails the calling test.  A renamed eigenvariable avoids every
+    variable name of the goal and of the first annotated proof, and
+    every name picked before it."""
     steps = 0
+    avoid = None
     while True:
         res = check_proof(theory, proof, goal)
         assert res.ok, f"after {steps} steps, at {res.path}: {res.message}"
+        if avoid is None:
+            avoid = variable_names(res.proof)
+            for _, h in goal.context:
+                avoid |= {v.name for v in free_vars(h)}
         cuts = find_cuts(res.proof)
         if not cuts:
             return res.proof, steps
@@ -93,8 +100,22 @@ def stepwise_normalize(theory, proof, goal, fuel=1000):
             raise FuelExhausted(steps=steps)
         # a path sorts after its descendants once it ends in infinity
         first = min((path for path, _, _ in cuts), key=lambda p: (*p, inf))
-        proof = reduce_cut(res.proof, first)
+        proof = reduce_cut(res.proof, first, avoid)
         steps += 1
+
+
+def variable_names(proof):
+    """The names of the eigenvariables of a proof and of the free
+    variables of its witnesses and stated conclusions."""
+    out, todo = set(), [proof]
+    while todo:
+        p = todo.pop()
+        todo.extend(p.children)
+        out |= {p.eigen.name} if p.eigen is not None else set()
+        for x in (p.witness, p.conclusion):
+            if x is not None:
+                out |= {v.name for v in free_vars(x)}
+    return out
 
 
 @pytest.fixture

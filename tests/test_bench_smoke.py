@@ -1,5 +1,6 @@
 """The benchmark's smoke mode: one job per family of every workload,
-judged by its oracle.  And the work counters of one traced pass."""
+judged by its oracle.  And the work counters of one traced pass of the
+search and of the narrow workload."""
 
 import contextlib
 import io
@@ -21,17 +22,13 @@ def test_bench_smoke():
     assert last["failed"] == 0
 
 
-def test_traced_search_pass_work(tmp_path):
-    # Pass 0 of seed 1 of the search workload.  The search trees are
-    # pinned: the same nodes and narrowing calls.  Rewriting work may
-    # only fall: the exposure memo answers a repeated normalization of
-    # one atom (def-conj's P) instead of redoing it, which took the
-    # counts from 78 steps in 43 785 calls to 54 steps.
+def traced_pass_metrics(workload, directory):
+    """The layer counters of pass 0 of seed 1 of a workload."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import run
     from layertrace import Tracer
     demod = run.import_demod()
-    jobs = run.build_pass("search", 1, 0, str(tmp_path / "pass"))
+    jobs = run.build_pass(workload, 1, 0, str(directory))
     tracer = Tracer()
     tracer.install(demod)
     try:
@@ -41,8 +38,30 @@ def test_traced_search_pass_work(tmp_path):
                 tracer.call_root(i, list(job.argv))
     finally:
         tracer.uninstall()
-    m = tracer.metrics()
+    return tracer.metrics()
+
+
+def test_traced_search_pass_work(tmp_path):
+    # The search trees are pinned: the same nodes and narrowing calls.
+    # Rewriting work may only fall: the exposure memo answers a repeated
+    # normalization of one atom (def-conj's P) instead of redoing it,
+    # which took the counts from 78 steps in 43 785 calls to 54 steps.
+    m = traced_pass_metrics("search", tmp_path / "pass")
     assert (m["prover.search_calls"], m["prover.nodes"],
             m["prover.narrowing_calls"]) == (110, 19850, 0)
     assert m["rewriting.steps"] == 54
     assert m["rewriting.normalize_calls"] <= 2383
+
+
+def test_traced_narrow_pass_work(tmp_path):
+    # The narrowing is pinned: the same calls, unifications, solutions
+    # and rewrite steps.  A step normalizes only the sides it changes,
+    # which took the normalize calls from 26 152 to 13 335, and adds no
+    # substitution.
+    m = traced_pass_metrics("narrow", tmp_path / "pass")
+    assert (m["unification.narrow_calls"], m["unification.unify_calls"],
+            m["unification.solutions"]) == (79, 21567, 97)
+    assert m["rewriting.steps"] == 575
+    assert m["prover.nodes"] == 6
+    assert m["rewriting.normalize_calls"] <= 13335
+    assert m["syntax.apply_subst_calls"] <= 81022

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import os
 import pathlib
 import re
@@ -177,6 +178,46 @@ class TestCheckAndCuts:
             '(axiom "q" : Q) : (imp Q Q)) : (imp Q Q))\nsteps: 1\n'
             '#verdict: ok\n')
 
+    # Two valid proofs under builtin:addition whose cut elimination
+    # renames an eigenvariable to a name free in a hypothesis of the
+    # sequent, y_1 and w_1, unless the renaming avoids the sequent too.
+    # In the second the hypothesis b is outer and only seen once the
+    # reduction renames the inner binder b to b_1.
+    EIGEN_CAPTURE = {
+        "substituted": (
+            '(forall_e (forall_i (x : nat) (forall_i (y : nat) (imp_i "h" '
+            '(axiom "h"))) : (forall (x : nat) (forall (y : nat) (imp (P x) '
+            '(P x))))) y:nat)',
+            "k : (P y_1:nat) |- (forall (z : nat) (imp (P y:nat) (P y:nat)))",
+            '(forall_i (y_2 : nat) (imp_i "h" (axiom "h" : (P y)) : (imp (P y)'
+            ' (P y))) : (forall (z : nat) (imp (P y) (P y))))\nsteps: 1\n'),
+        "unshadowed": (
+            '(imp_e (imp_i "h" (imp_i "b" (exists_e (axiom "h") (y : nat) "k" '
+            '(forall_i (w : nat) (and_e2 (axiom "b"))))) : (imp (exists '
+            '(v : nat) (imp top (P w_1:nat))) (imp (and (P 0) top) (forall '
+            '(w : nat) top)))) (exists_i w:nat (imp_i "z" (axiom "b"))))',
+            "b : (P w_1:nat) |- (imp (and (P 0) top) (forall (w : nat) top))",
+            '(imp_i "b_1" (forall_i (w_2 : nat) (and_e2 (axiom "b_1" : (and '
+            '(P 0) top)) : top) : (forall (w : nat) top)) : (imp (and (P 0) '
+            'top) (forall (w : nat) top)))\nsteps: 2\n'),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EIGEN_CAPTURE))
+    def test_eliminate_renamed_eigenvariable_avoids_sequent(
+            self, run, tmp_path, case):
+        proof, sequent, normal = self.EIGEN_CAPTURE[case]
+        prf, seq = tmp_path / "p.prf", tmp_path / "p.seq"
+        prf.write_text(proof)
+        seq.write_text(sequent)
+        assert run("check", "builtin:addition", str(prf), str(seq)) == (
+            0, "#verdict: ok\n", "")
+        assert run("eliminate", "builtin:addition", str(prf), str(seq)) == (
+            0, normal + "#verdict: ok\n", "")
+        prf.write_text(normal.split("\n")[0])
+        assert run("check", "builtin:addition", str(prf), str(seq)) == (
+            0, "#verdict: ok\n", "")
+        assert run("cuts", "builtin:addition", str(prf), str(seq))[0] == 1
+
     def test_invalid_proof(self, run, tmp_path):
         bad = tmp_path / "bad.prf"
         bad.write_text('(axiom "nope")')
@@ -228,22 +269,41 @@ class TestProveAndProbe:
         assert run("check", str(thy), str(proof), str(goal)) == (
             0, "#verdict: ok\n", "")
 
-    def test_prove_witness_independent_of_hash_seed(self, tmp_path):
-        # two leftover metavariables are named left to right in the
-        # witness, not in the order of a set of variables
+    def test_output_independent_of_hash_seed(self, tmp_path):
+        # Sets of variables iterate in an order set by the hash seed and,
+        # since a variable hashes by identity, by memory addresses; none
+        # of it may reach the output.  Two leftover metavariables are
+        # named left to right in the witness; narrowing, the witness
+        # search and cut elimination run too.
         thy = tmp_path / "f.thy"
         thy.write_text("sort s. func f : s s -> s. pred P : s.\n")
-        argv = [sys.executable, "-m", "demod.cli", "prove", str(thy),
-                "(imp (forall (x : s) (forall (z : s) (P (f x z)))) "
-                "(exists (y : s) (P y)))"]
+        prf, seq = tmp_path / "p.prf", tmp_path / "p.seq"
+        proof, sequent, _ = TestCheckAndCuts.EIGEN_CAPTURE["substituted"]
+        prf.write_text(proof)
+        seq.write_text(sequent)
+        jobs = [["prove", str(thy),
+                 "(imp (forall (x : s) (forall (z : s) (P (f x z)))) "
+                 "(exists (y : s) (P y)))"],
+                ["unify", "builtin:assoc", "(plus a x:elem)",
+                 "(plus (plus a b) c)", "--depth", "6"],
+                ["prove", "builtin:assoc", "(exists (x : elem) (imp (P (plus"
+                 " a x)) (P (plus (plus a b) c))))", "--depth", "6"],
+                ["eliminate", "builtin:addition", str(prf), str(seq)]]
+        script = ("import json, sys\nfrom demod.cli import main\n"
+                  "for argv in json.loads(sys.argv[1]):\n    main(argv)\n")
         src = str(pathlib.Path(demod.__file__).resolve().parent.parent)
         outs = [subprocess.run(
-            argv, capture_output=True, text=True, check=True,
+            [sys.executable, "-c", script, json.dumps(jobs)],
+            capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
         ).stdout for seed in ("1", "3")]
         assert outs[0] == outs[1]
         assert outs[0].startswith(
             '(imp_i "_h1" (exists_i (f w17 w18) (forall_e (forall_e ')
+        assert "solution 0: {x -> (plus b c)}\n" in outs[0]
+        assert "(exists_i (plus b c) " in outs[0]
+        assert "(forall_i (y_2 : nat) " in outs[0]
+        assert outs[0].count("#verdict: ") == 4
 
     def test_probe_consistent(self, run):
         code, out, _ = run("probe", "builtin:empty", "--depth", "6")

@@ -1,6 +1,10 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,13 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 from demod import (
     And, App, Atom, BOT, Exists, ForAll, Imp, Or, TOP, Var, alpha_eq,
     alpha_key, apply_subst, compose, free_vars, fresh_var, load_builtin,
-    make_signature, neg, print_node, print_prop, print_term, term_sort,
+    make_signature, print_node, print_prop, print_term, term_sort,
     wellformed,
 )
-from demod.errors import SortError, TheoryError
+from demod.errors import TheoryError
 from demod.syntax import (
-    QUANT, Bottom, Hole, Top, check_substitution, children, positions,
-    replace_at, subterm_at, with_children,
+    QUANT, Bottom, Hole, Top, children, positions, replace_at,
+    with_children,
 )
 
 from conftest import random_prop, random_term
@@ -89,10 +93,6 @@ class TestSubstitution:
             lhs = apply_subst(compose(s1, s2), t)
             rhs = apply_subst(s2, apply_subst(s1, t))
             assert alpha_eq(lhs, rhs)
-
-    def test_check_substitution_sort_mismatch(self, sig):
-        with pytest.raises(SortError):
-            check_substitution(sig, {v("x", "nat"): v("y", "nat2")})
 
     def test_fresh_var_avoids(self):
         f = fresh_var(v("x"), {"x", "x_1"})
@@ -214,6 +214,46 @@ class TestAlpha:
         assert (alpha_key(p) == alpha_key(reused)) == same
 
 
+class TestInterning:
+    def test_one_object_per_name_and_sort(self):
+        x = Var("x", "nat")
+        assert Var("x", "nat") is x
+        assert Var(name="x", sort="nat") is x
+        assert Var("x", "elem") != x and Var("x", "elem") is not x
+        assert copy.copy(x) is x
+        assert copy.deepcopy(x) is x
+        assert copy.deepcopy(Atom("P", (x,))).args[0] is x
+        assert pickle.loads(pickle.dumps(x)) is x
+        assert dataclasses.replace(x) is x
+        assert dataclasses.replace(x, sort="elem") is Var("x", "elem")
+
+    def test_threads_get_one_object(self):
+        # names no other test makes, so every thread races to insert them
+        names = [f"intern_race_{i}" for i in range(1000)]
+        start = threading.Barrier(4)
+        made = [None] * 4
+
+        def build(k):
+            start.wait()
+            made[k] = [Var(n, "nat") for n in names]
+
+        threads = [threading.Thread(target=build, args=(k,))
+                   for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # switch threads as often as it can
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for vs in made[1:]:
+            assert all(a is b for a, b in zip(made[0], vs))
+        assert all(Var(n, "nat") is a for n, a in zip(names, made[0]))
+
+
 class TestTraversal:
     def test_positions_outermost_first(self, sig):
         t = App("S", (App("plus", (App("0"), v("y"))),))
@@ -224,7 +264,7 @@ class TestTraversal:
     def test_replace_then_fetch(self, sig):
         t = App("plus", (App("0"), v("y")))
         t2 = replace_at(t, (0,), App("S", (App("0"),)))
-        assert subterm_at(t2, (0,)) == App("S", (App("0"),))
+        assert children(t2)[0] == App("S", (App("0"),))
 
 
 class TestPrinting:
@@ -235,7 +275,7 @@ class TestPrinting:
     def test_prop(self, sig):
         p = Imp(Atom("P", (App("0"),)), BOT)
         assert print_prop(p) == "(imp (P 0) bot)"
-        assert print_prop(neg(TOP)) == "(imp top bot)"
+        assert print_prop(Imp(TOP, BOT)) == "(imp top bot)"
 
     def test_quantifier(self):
         p = Exists(v("x"), Atom("P", (v("x"),)))
@@ -293,7 +333,8 @@ def test_cached_values_match_a_fresh_copy(seed):
     warm(x)
     for _, node in positions(x):
         fresh = rebuild(node)
-        assert fresh is not node
+        # a Var is interned, and nothing is cached on one
+        assert fresh is not node or isinstance(node, Var)
         assert alpha_key(node) == alpha_key(fresh)
         assert free_vars(node) == free_vars(fresh)
 
