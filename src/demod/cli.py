@@ -13,9 +13,7 @@ import functools
 import sys
 
 from .errors import FuelExhausted, ParseError
-from .kernel import (
-    check_proof, find_cuts, normalize_proof,
-)
+from .kernel import _normalize_checked, check_proof, find_cuts
 from .parsing import (
     parse_node, parse_proof, parse_prop, parse_sequent, parse_theory,
     print_proof,
@@ -144,9 +142,9 @@ def _cmd_eliminate(args) -> int:
     if not result.ok:
         return _invalid(result)
     try:
-        normalized = normalize_proof(theory, result.proof, sequent,
-                                     fuel=args.depth * 125,
-                                     congruence_fuel=args.fuel)
+        # checked above: normalize_proof would check it again on entry
+        normalized = _normalize_checked(theory, result.proof, sequent,
+                                        args.depth * 125, args.fuel)
     except FuelExhausted as e:
         return _verdict("fuel-exhausted",
                         [f"no normal form within the bound ({e.steps} steps)"])

@@ -551,8 +551,13 @@ def normalize_proof(theory, proof: Proof, goal: Sequent, fuel: int = 1000,
     *Proof normalization modulo*, 2003), so the final check is a safety
     net.  Raises FuelExhausted when the step budget runs out -- the
     expected outcome on Crabbe-style theories."""
-    steps = [0]
     proof = _annotated(theory, proof, goal, congruence_fuel)
+    return _normalize_checked(theory, proof, goal, fuel, congruence_fuel)
+
+
+def _normalize_checked(theory, proof, goal, fuel, congruence_fuel):
+    """``normalize_proof`` of a proof ``check_proof`` annotated."""
+    steps = [0]
     avoid = _proof_var_names(proof).union(   # and each name picked
         *({v.name for v in free_vars(h)} for _, h in goal.context))
     proof = _normal_form(proof, steps, fuel, avoid)

@@ -10,6 +10,7 @@ a bound is decidable; exploration is leftmost-first and deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, replace as dc_replace
 from operator import is_
 from typing import Iterator, Optional
@@ -35,10 +36,11 @@ def _is_meta(v: Var) -> bool:
 
 
 def _has_meta(x) -> bool:
-    for v in free_vars(x):
-        if _is_meta(v):
-            return True
-    return False
+    return any(map(_is_meta, free_vars(x)))
+
+
+def _axiom(label: str) -> Proof:
+    return Proof("axiom", label=label)
 
 
 @dataclass
@@ -89,7 +91,7 @@ class _Search:
 
     def fresh_eigen(self, base: Var, ctx, goal: Proposition) -> Var:
         """A fresh eigenvariable: no name free in the sequent."""
-        avoid = {v.name for e in ctx for v in free_vars(e.hyp)}
+        avoid = {v.name for e in ctx.views for v in free_vars(e.hyp)}
         avoid |= {v.name for v in free_vars(goal)}
         self.counter += 1
         y = Var(f"{base.name}_{self.counter}", base.sort)
@@ -119,15 +121,7 @@ class _Search:
 
     def close(self, hyp: Proposition, goal: Proposition,
               s: Subst) -> Iterator[Subst]:
-        """Ways of making hypothesis and goal congruent, possibly
-        instantiating metavariables."""
-        if not _has_meta(hyp) and not _has_meta(goal):
-            try:
-                if self.session.congruent(hyp, goal):
-                    yield s
-            except FuelExhausted:
-                self.hit_bound = True
-            return
+        """Narrowing solutions making hypothesis and goal congruent."""
         try:
             problem = UnificationProblem.of([(hyp, goal)], self.rs, self.fuel)
         except ValueError:
@@ -150,20 +144,20 @@ class _Search:
 
     def prove(self, ctx, goal, depth, s,
               path) -> Iterator[tuple[Proof, Subst]]:
-        """ctx: list of ``_View``.  path: set of (goal key, sorted
-        hypothesis keys) of the sequents open on this branch; a node
-        leaves it while it yields to its parent."""
+        """ctx: a ``_Context``, rebuilt if built under another ``s``.
+        path: set of (goal key, context key) of the sequents open on this
+        branch; a node leaves it while it yields to its parent."""
         self.stats.nodes += 1
         if self.stats.nodes > self.node_cap:
             self.hit_bound = True
             return
         goal = self.session.expose(apply_subst(s, goal))
-        if any(e.s is not s for e in ctx):
-            ctx = [e if e.s is s else _View(e.label, e.hyp, s) for e in ctx]
+        if ctx.s is not s:
+            ctx = ctx.under(s)
 
         # loop check: a sequent repeating an ancestor is redundant (the
         # ancestor, which has more depth, subsumes it)
-        key = (alpha_key(goal), tuple(sorted([e.key for e in ctx])))
+        key = (alpha_key(goal), ctx.key)
         if key in path:
             return
         path.add(key)
@@ -174,25 +168,32 @@ class _Search:
         path.remove(key)
 
     def _expand(self, ctx, goal, depth, s, path):
-        # close the branch against a hypothesis; see ``bridges``
-        exposed = []
-        for view in ctx:
+        # close on a hypothesis (see ``bridges``); introduce; eliminate
+        goal_meta = None
+        for view in ctx.views:
             h = view.exposed
             if h is None:
                 h = view.exposed = self.session.expose(view.inst)
-            exposed.append(h)
-            if type(h) is type(goal) or self.bridges:
+            if type(h) is not type(goal) and not self.bridges:
+                continue
+            if view.meta is None:
+                view.meta = _has_meta(h)
+            if not view.meta and goal_meta is None:
+                goal_meta = _has_meta(goal)
+            if view.meta or goal_meta:
                 for s2 in self.close(h, goal, s):
-                    yield Proof("axiom", label=view.label), s2
+                    yield _axiom(view.label), s2
+                continue
+            try:
+                if self.session.congruent(h, goal):
+                    yield _axiom(view.label), s
+            except FuelExhausted:
+                self.hit_bound = True
 
         if depth <= 0:
             self.hit_bound = True
             return
 
-        yield from self._intro(ctx, goal, depth, s, path)
-        yield from self._elim(ctx, exposed, goal, depth, s, path)
-
-    def _intro(self, ctx, goal, depth, s, path):
         if isinstance(goal, Top):
             yield Proof("top_i"), s
         elif isinstance(goal, And):
@@ -206,8 +207,8 @@ class _Search:
                 yield Proof("or_i2", (p,)), s1
         elif isinstance(goal, Imp):
             label = self.fresh_label()
-            ctx2 = ctx + [_View(label, goal.left, s)]
-            for p, s1 in self.prove(ctx2, goal.right, depth - 1, s, path):
+            for p, s1 in self.prove(ctx.plus((label, goal.left)),
+                                    goal.right, depth - 1, s, path):
                 yield Proof("imp_i", (p,), label=label), s1
         elif isinstance(goal, ForAll):
             y = self.fresh_eigen(goal.var, ctx, goal)
@@ -219,75 +220,102 @@ class _Search:
             body = apply_subst({goal.var: m}, goal.body)
             for p, s1 in self.prove(ctx, body, depth - 1, s, path):
                 yield Proof("exists_i", (p,), witness=m), s1
+        yield from self._elim(ctx, goal, depth, s, path)
 
-    def _elim(self, ctx, exposed, goal, depth, s, path):
-        """Eliminations of the hypotheses, exposed under ``s``.  The or_e
-        and exists_e branches start with an empty path."""
-        for i, (view, h) in enumerate(zip(ctx, exposed)):
+    def _elim(self, ctx, goal, depth, s, path):
+        """Eliminations of the hypotheses, each view exposed by the node.
+        The or_e and exists_e branches start with an empty path."""
+        for i, view in enumerate(ctx.views):
+            h = view.exposed
             if isinstance(h, (Atom, Top)):
                 continue
-            use = Proof("axiom", label=view.label)
+            use = view.label   # made an axiom only in a proof found
             if isinstance(h, Bottom):
-                yield Proof("bot_e", (use,)), s
+                yield Proof("bot_e", (_axiom(use),)), s
             elif isinstance(h, And):
                 l1, l2 = self.fresh_label(), self.fresh_label()
-                ctx2 = ctx[:i] + ctx[i + 1:] + [_View(l1, h.left, s),
-                                                 _View(l2, h.right, s)]
+                ctx2 = ctx.without(i).plus((l1, h.left), (l2, h.right))
                 for p, s1 in self.prove(ctx2, goal, depth - 1, s, path):
-                    p = subst_hyp(p, l1, Proof("and_e1", (use,)))
-                    p = subst_hyp(p, l2, Proof("and_e2", (use,)))
+                    p = subst_hyp(p, l1, Proof("and_e1", (_axiom(use),)))
+                    p = subst_hyp(p, l2, Proof("and_e2", (_axiom(use),)))
                     yield p, s1
             elif isinstance(h, Imp):
                 lb = self.fresh_label()
                 for pm, s1 in self.prove(ctx, h.left, depth - 1, s, path):
-                    ctx2 = ctx + [_View(lb, h.right, s1)]
+                    ctx2 = ctx.under(s1).plus((lb, h.right))
                     for p, s2 in self.prove(ctx2, goal, depth - 1, s1, path):
                         yield subst_hyp(
-                            p, lb, Proof("imp_e", (use, pm))), s2
+                            p, lb, Proof("imp_e", (_axiom(use), pm))), s2
             elif isinstance(h, Or):
                 l1, l2 = self.fresh_label(), self.fresh_label()
-                base = ctx[:i] + ctx[i + 1:]
-                for p1, s1 in self.prove(base + [_View(l1, h.left, s)],
+                base = ctx.without(i)
+                for p1, s1 in self.prove(base.plus((l1, h.left)),
                                          goal, depth - 1, s, set()):
                     for p2, s2 in self.prove(
-                            base + [_View(l2, h.right, s1)],
+                            base.under(s1).plus((l2, h.right)),
                             goal, depth - 1, s1, set()):
-                        yield Proof("or_e", (use, p1, p2),
+                        yield Proof("or_e", (_axiom(use), p1, p2),
                                     label=l1, label2=l2), s2
             elif isinstance(h, ForAll):
                 m = self.fresh_meta(h.var.sort)
                 inst = apply_subst({h.var: m}, h.body)
                 li = self.fresh_label()
-                ctx2 = ctx + [_View(li, inst, s)]
+                ctx2 = ctx.plus((li, inst))
                 for p, s1 in self.prove(ctx2, goal, depth - 1, s, path):
-                    w = apply_subst(s1, m)
-                    yield subst_hyp(
-                        p, li, Proof("forall_e", (use,), witness=w)), s1
+                    yield subst_hyp(p, li, Proof(
+                        "forall_e", (_axiom(use),),
+                        witness=apply_subst(s1, m))), s1
             else:   # Exists
                 y = self.fresh_eigen(h.var, ctx, goal)
                 lb = self.fresh_label()
-                base = ctx[:i] + ctx[i + 1:]
                 inst = apply_subst({h.var: y}, h.body)
-                for p, s1 in self.prove(base + [_View(lb, inst, s)],
+                for p, s1 in self.prove(ctx.without(i).plus((lb, inst)),
                                         goal, depth - 1, s, set()):
-                    yield Proof("exists_e", (use, p),
+                    yield Proof("exists_e", (_axiom(use), p),
                                 label=lb, eigen=y), s1
 
 
 class _View:
-    """A context entry: a labelled hypothesis under ``s``, with its
-    instance, the instance's ``alpha_key``, and its exposed form once a
-    node asks.  Branches share it until the substitution changes."""
+    """A context entry: a labelled hypothesis, its instance under the
+    context's substitution and the instance's ``alpha_key``; the exposed
+    instance, and whether that has metavariables, once a node asks."""
 
-    __slots__ = ("label", "hyp", "s", "inst", "key", "exposed")
+    __slots__ = ("label", "hyp", "inst", "key", "exposed", "meta")
 
     def __init__(self, label: str, hyp: Proposition, s: Subst):
         self.label = label
         self.hyp = hyp
-        self.s = s
         self.inst = apply_subst(s, hyp)
         self.key = alpha_key(self.inst)
-        self.exposed: Optional[Proposition] = None
+        self.exposed = self.meta = None   # asked for by a node
+
+
+class _Context:
+    """A sequent's hypotheses: their views, built under ``s`` and shared
+    by branches until it changes, and the loop-check ``key``, the sorted
+    tuple of their keys, derived when a hypothesis is added or dropped."""
+
+    __slots__ = ("views", "s", "key")
+
+    def __init__(self, views: list, s: Subst, key=None):
+        self.views, self.s = views, s
+        self.key = key or tuple(sorted([v.key for v in views]))
+
+    def under(self, s: Subst) -> _Context:
+        return self if s is self.s else _Context(
+            [_View(v.label, v.hyp, s) for v in self.views], s)
+
+    def plus(self, *hyps: tuple[str, Proposition]) -> _Context:
+        added = [_View(label, h, self.s) for label, h in hyps]
+        keys = list(self.key)
+        for v in added:
+            insort(keys, v.key)
+        return _Context(self.views + added, self.s, tuple(keys))
+
+    def without(self, i: int) -> _Context:
+        k = bisect_left(self.key, self.views[i].key)
+        return _Context(self.views[:i] + self.views[i + 1:], self.s,
+                        self.key[:k] + self.key[k + 1:])
 
 
 def _resolve_metas(p: Proof, s: Subst, leftovers: Subst, start: int) -> Proof:
@@ -321,18 +349,16 @@ def search_proof(theory: Theory, goal: Sequent, depth: int = 8,
         raise TheoryError("theory is not non-confusing")
     if not isinstance(goal, Sequent):
         goal = Sequent((), goal)
-    sig = theory.signature
-    for _, h in goal.context:
-        w = wellformed(sig, h)
+    for what, x in [*(("hypothesis", h) for _, h in goal.context),
+                    ("goal", goal.conclusion)]:
+        w = wellformed(theory.signature, x)
         if not w:
-            raise TheoryError(f"malformed hypothesis: {w.message}")
-    w = wellformed(sig, goal.conclusion)
-    if not w:
-        raise TheoryError(f"malformed goal: {w.message}")
+            raise TheoryError(f"malformed {what}: {w.message}")
 
     engine = _Search(theory, fuel, narrow_depth, narrow_cap, node_cap)
-    ctx = [_View(label, h, {}) for label, h in goal.context]
-    for proof, s in engine.prove(ctx, goal.conclusion, depth, {}, set()):
+    root: Subst = {}   # one object: the root's views are not rebuilt
+    ctx = _Context([], root).plus(*goal.context)
+    for proof, s in engine.prove(ctx, goal.conclusion, depth, root, set()):
         proof = _resolve_metas(proof, s, {}, engine.counter)
         res = check_proof(theory, proof, goal, fuel)
         if not res.ok or find_cuts(res.proof):

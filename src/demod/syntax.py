@@ -79,7 +79,7 @@ def make_signature(sorts, functions, predicates) -> Signature:
 # Terms
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class Var:
     """Interned by ``__new__``, which copy, pickle and ``replace`` use."""
 
@@ -91,7 +91,8 @@ class Var:
         v = cls._interned.get((name, sort))
         if v is None:   # racing threads: setdefault keeps the first
             v = object.__new__(cls)
-            v.__dict__.update(name=name, sort=sort)
+            object.__setattr__(v, "name", name)
+            object.__setattr__(v, "sort", sort)
             v = cls._interned.setdefault((name, sort), v)
         return v
 

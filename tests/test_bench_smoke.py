@@ -53,6 +53,37 @@ def test_traced_search_pass_work(tmp_path):
     assert m["rewriting.normalize_calls"] <= 2383
 
 
+def test_search_pass_prover_work(tmp_path, monkeypatch):
+    # The same search trees at less work per node.  A context carries the
+    # substitution its views were built under, each side's metavariable
+    # test is made once, on the first closing attempt, and an elimination
+    # builds the axiom naming its hypothesis only for a proof found: from
+    # 36 778 _has_meta calls to 8 398, from 21 321 proof nodes built to
+    # 6 035, and no more views than the 12 316 built when every root
+    # rebuilt its views.
+    from demod import kernel, prover
+    counts = {"has_meta": 0, "views": 0, "proofs": 0}
+
+    def counted(key, fn):
+        def call(*args):
+            counts[key] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(prover, "_has_meta",
+                        counted("has_meta", prover._has_meta))
+    monkeypatch.setattr(prover._View, "__init__",
+                        counted("views", prover._View.__init__))
+    monkeypatch.setattr(kernel.Proof, "__post_init__",
+                        counted("proofs", kernel.Proof.__post_init__))
+    m = traced_pass_metrics("search", tmp_path / "pass")
+    assert (m["prover.search_calls"], m["prover.nodes"],
+            m["prover.narrowing_calls"]) == (110, 19850, 0)
+    assert counts["has_meta"] <= 8398
+    assert counts["views"] <= 12316
+    assert counts["proofs"] <= 6035
+
+
 def test_traced_narrow_pass_work(tmp_path):
     # The narrowing is pinned: the same calls, unifications, solutions
     # and rewrite steps.  A step normalizes only the sides it changes,

@@ -178,6 +178,38 @@ class TestCheckAndCuts:
             '(axiom "q" : Q) : (imp Q Q)) : (imp Q Q))\nsteps: 1\n'
             '#verdict: ok\n')
 
+    def test_eliminate_checks_twice(self, run, tmp_path, monkeypatch):
+        # once before the reductions, once on the normal form; the
+        # public normalize_proof still checks its input as well
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(args[1])
+            return kernel_check(*args, **kw)
+
+        kernel_check = demod.kernel.check_proof
+        monkeypatch.setattr(demod.cli, "check_proof", counted)
+        monkeypatch.setattr(demod.kernel, "check_proof", counted)
+        proof, sequent, normal = self.EIGEN_CAPTURE["substituted"]
+        prf, seq = tmp_path / "p.prf", tmp_path / "p.seq"
+        prf.write_text(proof)
+        seq.write_text(sequent)
+        assert run("eliminate", "builtin:addition", str(prf), str(seq)) == (
+            0, normal + "#verdict: ok\n", "")
+        assert len(calls) == 2
+        bad = tmp_path / "bad.prf"
+        bad.write_text('(axiom "nope")')
+        assert run("eliminate", "builtin:empty", str(bad),
+                   "corpus/identity.goal") == (
+            1, "at []: no hypothesis labelled 'nope'\n#verdict: invalid\n",
+            "")
+        assert len(calls) == 3
+        theory = demod.load_builtin("addition")
+        demod.normalize_proof(
+            theory, demod.parsing.parse_proof(proof, theory.signature),
+            demod.parsing.parse_sequent(sequent, theory.signature))
+        assert len(calls) == 5
+
     # Two valid proofs under builtin:addition whose cut elimination
     # renames an eigenvariable to a name free in a hypothesis of the
     # sequent, y_1 and w_1, unless the renaming avoids the sequent too.

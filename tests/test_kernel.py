@@ -403,7 +403,10 @@ class CutProofs:
         l1, l2 = self.rng.choice(LABELS), self.rng.choice(LABELS)
         arm1, c = self.proof(ctx + ((l1, left),), scope, depth)
         arm2 = self.easy({**dict(ctx), l2: right}, c)
-        if arm2 is None and l1 not in free_labels(arm1):
+        # arm1's eigenvariables avoid the variables of ctx and left only
+        seen = free_vars(left).union(*(free_vars(h) for _, h in ctx))
+        if arm2 is None and l1 not in free_labels(arm1) \
+                and free_vars(right) <= seen:
             arm2, l2 = arm1, l1
         if arm2 is None:   # swap the disjuncts
             c = Or(right, left)

@@ -1,8 +1,12 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_prop
 from demod import (
-    Atom, RewriteSystem, Sequent, Theory, check_proof, consistency_probe,
-    find_cuts, load_builtin, search_proof,
+    Atom, RewriteSystem, Sequent, Theory, alpha_key, apply_subst,
+    check_proof, consistency_probe, find_cuts, load_builtin, search_proof,
 )
 from demod import kernel, prover
 from demod.parsing import parse_prop
@@ -157,3 +161,77 @@ class TestProbe:
         hyps = (parse_prop("P", sig), parse_prop("(imp P bot)", sig))
         out = consistency_probe(empty, depth=6, hypotheses=hyps)
         assert out.status == "proved"
+
+
+def watch_contexts(monkeypatch):
+    """Check the context of every search node; return counts of the
+    nodes and of those whose context was built under another
+    substitution.  On entry each view is its hypothesis under the
+    context's substitution, and the key is the sorted tuple of the
+    views' keys.  In the node, after any rebuild, each view is its
+    hypothesis under the node's substitution."""
+    seen = {"nodes": 0, "stale": 0}
+    prove, expand = prover._Search.prove, prover._Search._expand
+
+    def checked_prove(self, ctx, goal, depth, s, path):
+        seen["nodes"] += 1
+        seen["stale"] += ctx.s is not s
+        for v in ctx.views:
+            assert v.inst == apply_subst(ctx.s, v.hyp)
+            assert v.key == alpha_key(v.inst)
+        assert ctx.key == tuple(sorted(v.key for v in ctx.views))
+        return prove(self, ctx, goal, depth, s, path)
+
+    def checked_expand(self, ctx, goal, depth, s, path):
+        insts = [apply_subst(s, v.hyp) for v in ctx.views]
+        assert ctx.key == tuple(sorted(alpha_key(h) for h in insts))
+        assert all(v.inst == h for v, h in zip(ctx.views, insts))
+        return expand(self, ctx, goal, depth, s, path)
+
+    monkeypatch.setattr(prover._Search, "prove", checked_prove)
+    monkeypatch.setattr(prover._Search, "_expand", checked_expand)
+    return seen
+
+
+class TestContextInvariant:
+    # a context carries the substitution its views were built under and
+    # its loop-check key, derived from the parent's; a node rebuilds the
+    # views only when its own substitution is another one
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_propositional_goals(self, seed):
+        empty = load_builtin("empty")
+        goal = random_prop(random.Random(seed), empty.signature, 4,
+                           quantifiers=False)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = watch_contexts(mp)
+            out = search_proof(empty, goal, depth=5)
+        assert seen["nodes"] == out.stats.nodes
+
+    def test_axiomatic_probe(self, monkeypatch):
+        seen = watch_contexts(monkeypatch)
+        t, ax = TestProbe.pf_axiom()
+        out = consistency_probe(t, depth=6, hypotheses=(ax,))
+        assert out.status == "bound-exceeded"
+        assert seen["nodes"] == out.stats.nodes
+
+    @pytest.mark.parametrize("name, goal", [
+        ("assoc", "(exists (x : elem) (imp (P (plus a x))"
+                  " (P (plus (plus a b) c))))"),
+        ("addition", "(forall (x : nat) (imp (P x) (P (plus 0 x))))"),
+        ("addition", "(imp (forall (x : nat) (P (S x)))"
+                     " (exists (y : nat) (and (P (plus 0 y)) (P y))))"),
+    ])
+    def test_goals_with_witnesses(self, monkeypatch, name, goal):
+        seen = watch_contexts(monkeypatch)
+        assert prove(load_builtin(name), goal).proved
+        assert seen["nodes"] > 0
+
+    def test_substitution_changes_under_hypotheses(self, monkeypatch):
+        # the right conjunct is searched under the witness the left one
+        # found, so its context, built before, is rebuilt
+        seen = watch_contexts(monkeypatch)
+        assert prove(load_builtin("assoc"),
+                     "(exists (x : elem) (imp (P (plus a x))"
+                     " (and (P (plus (plus a b) c)) (P (plus a x)))))").proved
+        assert seen["stale"] > 0

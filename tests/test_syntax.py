@@ -227,6 +227,14 @@ class TestInterning:
         assert dataclasses.replace(x) is x
         assert dataclasses.replace(x, sort="elem") is Var("x", "elem")
 
+    def test_slots_only(self):
+        # the name and the sort live in slots: a Var has no __dict__
+        x = Var("x", "nat")
+        assert not hasattr(x, "__dict__")
+        assert Var.__slots__ == ("name", "sort")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.name = "y"
+
     def test_threads_get_one_object(self):
         # names no other test makes, so every thread races to insert them
         names = [f"intern_race_{i}" for i in range(1000)]
