@@ -12,18 +12,17 @@ from .syntax import (
     term_sort, wellformed,
 )
 from .rewriting import (
-    DEFAULT_FUEL, ConfluenceReport, CriticalPair, NormalForm, RewriteRule,
-    RewriteSystem, check_local_confluence, check_nonconfusing,
-    check_termination_lpo, congruent, congruent_detail, critical_pairs,
-    match_pattern, normalize, rewrite_positions,
+    DEFAULT_FUEL, CriticalPair, NormalForm, RewriteRule, RewriteSystem,
+    check_local_confluence, check_nonconfusing, check_termination_lpo,
+    congruent, congruent_detail, critical_pairs, match_pattern, normalize,
+    rewrite_positions,
 )
 from .unification import (
     SolutionStream, UnificationProblem, narrow_unify, unify_syntactic,
 )
 from .kernel import (
-    CheckResult, DefinitionalRules, NormalizedProof, Proof, Sequent,
-    check_proof, find_cuts, iff_axioms_to_rules, normalize_proof,
-    reduce_cut,
+    CheckResult, NormalizedProof, Proof, Sequent, check_proof, find_cuts,
+    normalize_proof, reduce_cut,
 )
 from .theories import (
     BUILTIN_NAMES, SubformulaSet, Theory, ValidationReport, load_builtin,
@@ -33,8 +32,7 @@ from .prover import (
     SearchOutcome, SearchStats, consistency_probe, search_proof,
 )
 from .parsing import (
-    parse_proof, parse_prop, parse_sequent, parse_term, parse_theory,
-    print_proof, print_sequent, print_theory,
+    parse_proof, parse_prop, parse_sequent, parse_theory, print_proof,
 )
 
 __version__ = "0.1.0"

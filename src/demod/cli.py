@@ -24,6 +24,7 @@ from .syntax import print_node
 from .theories import (
     BUILTIN_NAMES, Theory, load_builtin, subformula_closure,
 )
+from .unification import UnificationProblem, narrow_unify
 
 EXIT_YES, EXIT_NO, EXIT_ERROR = 0, 1, 2
 
@@ -93,7 +94,6 @@ def _cmd_congruent(args) -> int:
 
 
 def _cmd_unify(args) -> int:
-    from .unification import UnificationProblem, narrow_unify
     theory = _load_theory(args.theory)
     a = parse_node(args.left, theory.signature)
     b = parse_node(args.right, theory.signature)

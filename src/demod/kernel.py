@@ -1,7 +1,6 @@
 """Constructive natural deduction modulo: proof checking up to the
-congruence, cut detection, single-step cut reduction, bounded proof
-normalization, and the translation of biconditional axioms into
-proposition rewrite rules.
+congruence, cut detection, single-step cut reduction and bounded proof
+normalization.
 
 Checking is bidirectional: introduction rules are checked against an
 expected conclusion whose head connective is exposed by root rewriting,
@@ -19,12 +18,12 @@ from typing import Optional
 
 from .errors import FuelExhausted, ProofError, RuleError
 from .rewriting import (
-    DEFAULT_FUEL, RewriteRule, RewriteSystem, _step_at, congruent, normalize,
+    DEFAULT_FUEL, RewriteSystem, _step_at, congruent, normalize,
 )
 from .syntax import (
     And, Atom, BOT, Exists, ForAll, Imp, Or, Position, Proposition, Subst,
-    Term, Top, Var, alpha_eq, alpha_key, apply_subst, children as node_children,
-    free_vars, fresh_var, is_term, print_prop, wellformed,
+    Term, Top, Var, alpha_key, apply_subst, free_vars, fresh_var, print_prop,
+    wellformed,
 )
 
 # rule tag -> its fields in concrete-syntax order: an int is the subproof
@@ -74,7 +73,6 @@ CUT_PAIRS = {
     "or_e": frozenset({"or_i1", "or_i2"}),
     "forall_e": frozenset({"forall_i"}),
     "exists_e": frozenset({"exists_i"}),
-    "bot_e": frozenset(),
 }
 
 
@@ -594,65 +592,3 @@ def _normal_form(p: Proof, steps: list, fuel: int, avoid: set) -> Proof:
                 steps=steps[0])
         steps[0] += 1
         p = reduce_cut(p, (), avoid)
-
-
-# ---------------------------------------------------------------------------
-# From biconditional axioms to proposition rules
-
-
-@dataclass(frozen=True)
-class DefinitionalRules:
-    rules: tuple[RewriteRule, ...]
-    hazards: tuple[str, ...]  # rule names whose head occurs in its own body
-
-
-def iff_axioms_to_rules(axioms) -> DefinitionalRules:
-    """Turn universally closed biconditionals  Atom <=> Body  into
-    proposition rules  Atom --> Body, oriented left to right.
-
-    The atom's arguments must be distinct variables covering the body's
-    free variables.  A head predicate occurring in its own body is
-    accepted but flagged (the Crabbe hazard)."""
-    rules: list[RewriteRule] = []
-    hazards: list[str] = []
-    names: set[str] = set()
-    for ax in axioms:
-        body = ax
-        while isinstance(body, ForAll):
-            body = body.body
-        if not (isinstance(body, And) and isinstance(body.left, Imp)
-                and isinstance(body.right, Imp)):
-            raise RuleError(f"not a biconditional: {print_prop(ax)}")
-        fwd, bwd = body.left, body.right
-        if not (alpha_eq(fwd.left, bwd.right) and alpha_eq(fwd.right, bwd.left)):
-            raise RuleError(f"not a biconditional: {print_prop(ax)}")
-        lhs, rhs = fwd.left, fwd.right
-        if not isinstance(lhs, Atom):
-            raise RuleError(f"definition head is not atomic: {print_prop(lhs)}")
-        args = lhs.args
-        if not all(isinstance(a, Var) for a in args) \
-                or len(set(args)) != len(args):
-            raise RuleError(
-                f"definition head arguments must be distinct variables: "
-                f"{print_prop(lhs)}")
-        escape = free_vars(rhs) - set(args)
-        if escape:
-            bad = ", ".join(sorted(v.name for v in escape))
-            raise RuleError(f"free variables escape the definition head: {bad}")
-        name = f"def_{lhs.pred}"
-        k = 1
-        while name in names:
-            k += 1
-            name = f"def_{lhs.pred}_{k}"
-        names.add(name)
-        rules.append(RewriteRule(name, lhs, rhs))
-        if _pred_occurs(lhs.pred, rhs):
-            hazards.append(name)
-    return DefinitionalRules(tuple(rules), tuple(hazards))
-
-
-def _pred_occurs(pred: str, p: Proposition) -> bool:
-    if isinstance(p, Atom):
-        return p.pred == pred
-    return any(_pred_occurs(pred, c)
-               for c in node_children(p) if not is_term(c))

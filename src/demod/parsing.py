@@ -1,4 +1,4 @@
-"""Parsers and printers for the concrete syntax.
+"""Parsers for the concrete syntax, and the proof printer.
 
 Formats (all line/column reported on error):
 
@@ -12,7 +12,8 @@ Formats (all line/column reported on error):
                          conclusion annotation  : <prop>
   sequents               h : <prop>, g : <prop> |- <prop>
 
-Print-then-parse is the identity on every value these printers emit.
+Terms and propositions print with ``syntax.print_node``.  Parsing what
+``print_proof`` emits gives back the printed proof.
 """
 
 from __future__ import annotations
@@ -254,14 +255,6 @@ class _Parser:
         return Sequent(tuple(context), conclusion)
 
 
-def parse_term(text: str, sig: Signature,
-               expected_sort: Optional[str] = None) -> Term:
-    p = _Parser(text, sig)
-    t = p.term(expected_sort)
-    p.lx.expect("eof", "end of input")
-    return t
-
-
 def parse_prop(text: str, sig: Signature) -> Proposition:
     p = _Parser(text, sig)
     a = p.prop()
@@ -322,7 +315,7 @@ def parse_theory(text: str, name: str = "file") -> Theory:
             s = lx.expect("id", "a sort name")[1]
             sorts.append(s)
         elif word == "func":
-            fn = lx.expect("id", "a function name")[1]
+            fn = _new_symbol(lx, "a function name", functions, predicates)
             lx.expect("colon", "':'")
             ss = []
             while lx.peek()[0] == "id":
@@ -336,7 +329,7 @@ def parse_theory(text: str, name: str = "file") -> Theory:
                     lx.error("constant declarations take a single sort")
                 functions[fn] = ([], ss[0])
         elif word == "pred":
-            pr = lx.expect("id", "a predicate name")[1]
+            pr = _new_symbol(lx, "a predicate name", functions, predicates)
             ss = []
             if lx.peek()[0] == "colon":
                 lx.next()
@@ -382,6 +375,15 @@ def parse_theory(text: str, name: str = "file") -> Theory:
         raise ParseError(str(e), 1, 1)
 
 
+def _new_symbol(lx: _Lexer, what: str, functions, predicates) -> str:
+    """The name a func or pred declaration declares; functions and
+    predicates share one namespace, and a name is declared once."""
+    _, name, line, col = lx.expect("id", what)
+    if name in functions or name in predicates:
+        raise ParseError(f"symbol {name!r} is already declared", line, col)
+    return name
+
+
 def _rule_side(p: _Parser, expected) -> Node:
     kind, value, line, col = p.lx.peek()
     head = p.lx.peek(1)[1] if kind == "lp" else value
@@ -412,35 +414,8 @@ def print_proof(p: Proof) -> str:
     return "(" + " ".join(parts) + ")"
 
 
-def print_sequent(s: Sequent) -> str:
-    ctx = ", ".join(f"{l} : {print_prop(h)}" for l, h in s.context)
-    return (ctx + " " if ctx else "") + "|- " + print_prop(s.conclusion)
-
-
-def print_theory(t: Theory) -> str:
-    lines = []
-    for s in sorted(t.signature.sorts):
-        lines.append(f"sort {s}.")
-    for fn, (args, res) in t.signature.functions.items():
-        if args:
-            lines.append(f"func {fn} : {' '.join(args)} -> {res}.")
-        else:
-            lines.append(f"func {fn} : {res}.")
-    for pr, args in t.signature.predicates.items():
-        if args:
-            lines.append(f"pred {pr} : {' '.join(args)}.")
-        else:
-            lines.append(f"pred {pr}.")
-    for r in t.system.rules:
-        lines.append(f"rule {r.name}: {_print_side(r.lhs)} ~> "
-                     f"{_print_side(r.rhs)}.")
-    if t.system.asserted_terminating:
-        lines.append("assert terminating.")
-    return "\n".join(lines) + "\n"
-
-
 def _print_side(x: Node) -> str:
-    """A rule side or a witness; a bare variable carries its sort."""
+    """A witness; a bare variable carries its sort."""
     if isinstance(x, Var):
         return f"{x.name}:{x.sort}"
     return print_node(x)

@@ -62,8 +62,7 @@ class SearchOutcome:
 
 class _Search:
     def __init__(self, theory: Theory, fuel: int,
-                 narrow_depth: int, narrow_cap: int,
-                 node_cap: int = 50000):
+                 narrow_depth: int, narrow_cap: int, node_cap: int):
         self.rs = theory.system
         # exposed heads that differ can still be bridged by proposition
         # rules, tried in a system not known to be convergent only
@@ -341,8 +340,9 @@ def search_proof(theory: Theory, goal: Sequent, depth: int = 8,
                  narrow_cap: int = 16, node_cap: int = 50000) -> SearchOutcome:
     """Bounded goal-directed search for a cut-free proof of the sequent.
 
-    Fail means the bounded search space was fully exhausted; a depth or
-    narrowing bound hit anywhere downgrades that to BoundExceeded."""
+    Status "fail" means the bounded search space was fully exhausted;
+    a bound hit anywhere (depth, node cap, narrowing or rewrite fuel)
+    makes it "bound-exceeded"."""
     if depth <= 0:
         raise ValueError("depth must be positive")
     if not theory.report.nonconfusing:

@@ -159,59 +159,34 @@ class NormalForm:
     steps: int
 
 
-def normalize(rs: RewriteSystem, x: Node, fuel: int = DEFAULT_FUEL,
-              strategy: str = "innermost", rng=None) -> NormalForm:
-    """Repeated rewriting to normal form.
-
-    Strategy is leftmost-innermost by default; "random" picks a random
-    redex each step (used by the strategy-independence tests).  Raises
-    FuelExhausted when the step budget runs out -- a possibly
-    non-terminating system, never silently a normal form.
-    """
+def normalize(rs: RewriteSystem, x: Node,
+              fuel: int = DEFAULT_FUEL) -> NormalForm:
+    """Leftmost-innermost rewriting to normal form, in one bottom-up
+    pass, one Python frame per term level: the children, left to right,
+    then the root; a root step goes on with the rule's rhs under the
+    match, whose bound subterms are normal and not visited again.  A
+    node whose children come back unchanged is returned as the same
+    object.  Raises FuelExhausted when the step budget runs out -- a
+    possibly non-terminating system, never silently a normal form -- or
+    when the term outgrows the recursion limit."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    if strategy == "innermost":
-        return _innermost(rs, x, fuel)
-    if strategy != "random":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    steps = 0
-    while True:
-        redexes = rewrite_positions(rs, x)
-        if not redexes:
-            return NormalForm(x, steps)
-        _, _, x = rng.choice(redexes)
-        steps += 1
-        if steps > fuel:
-            _out_of_fuel(x, fuel)
-
-
-def _out_of_fuel(x: Node, fuel: int):
-    raise FuelExhausted(f"no normal form of {print_node(x)} within {fuel} "
-                        "steps", steps=fuel + 1)
-
-
-class _Unwind(Exception):
-    """Carries the whole term out of ``_innermost`` when fuel runs out."""
-
-
-def _innermost(rs: RewriteSystem, x: Node, fuel: int) -> NormalForm:
-    """Leftmost-innermost normalization in one bottom-up pass, one Python
-    frame per term level: the children, left to right, then the root; a
-    root step goes on with the rule's rhs under the match, whose bound
-    subterms are normal and not visited again.  A node whose children
-    come back unchanged is returned as the same object.  A term that
-    outgrows the recursion limit runs out as if of fuel."""
     left = [fuel]   # steps still allowed
     try:
         return NormalForm(_nf(x, None, rs.by_head, left), fuel - left[0])
     except _Unwind as e:
-        _out_of_fuel(e.args[0], fuel)
+        raise FuelExhausted(f"no normal form of {print_node(e.args[0])} "
+                            f"within {fuel} steps", steps=fuel + 1) from None
     except RecursionError:
         steps = fuel - left[0]
         raise FuelExhausted(
             f"the term outgrew the recursion limit of "
             f"{sys.getrecursionlimit()} after {steps} steps",
             steps=steps) from None
+
+
+class _Unwind(Exception):
+    """Carries the whole term out of ``normalize`` when fuel runs out."""
 
 
 def _nf(pattern: Node, s: Optional[Subst], by_head: dict, left: list) -> Node:
@@ -328,7 +303,6 @@ class CriticalPair:
     position: Position
     inner_rule: str
     outer_rule: str
-    joinable: str = "unknown"  # "yes" | "no" | "unknown"
 
 
 def _rename_apart(rule: RewriteRule, avoid: set[str]) -> RewriteRule:
@@ -392,38 +366,20 @@ def critical_pairs(rs: RewriteSystem) -> list[CriticalPair]:
     return out
 
 
-@dataclass(frozen=True)
-class ConfluenceReport:
-    pairs: tuple[CriticalPair, ...]
-    joinable: tuple[CriticalPair, ...]
-    failures: tuple[CriticalPair, ...]
-    unknown: tuple[CriticalPair, ...]
-
-    @property
-    def locally_confluent(self) -> bool:
-        return not self.failures and not self.unknown
-
-
-def check_local_confluence(rs: RewriteSystem,
-                           fuel: int = DEFAULT_FUEL) -> ConfluenceReport:
-    """Test every critical pair for joinability by normalization within
-    fuel; a pair whose normalization runs out is unknown."""
-    joinable, failures, unknown = [], [], []
-    for cp in critical_pairs(rs):
+def check_local_confluence(rs: RewriteSystem, fuel: int = DEFAULT_FUEL
+                           ) -> tuple[int, Optional[bool]]:
+    """The number of critical pairs, and whether every pair joins by
+    normalization within fuel: None as soon as one pair runs out."""
+    pairs = critical_pairs(rs)
+    joins = True
+    for cp in pairs:
         try:
             nl = normalize(rs, cp.left, fuel).value
             nr = normalize(rs, cp.right, fuel).value
         except FuelExhausted:
-            unknown.append(CriticalPair(
-                cp.peak, cp.left, cp.right, cp.position,
-                cp.inner_rule, cp.outer_rule, "unknown"))
-            continue
-        verdict = "yes" if alpha_eq(nl, nr) else "no"
-        bucket = joinable if verdict == "yes" else failures
-        bucket.append(CriticalPair(cp.peak, cp.left, cp.right, cp.position,
-                                   cp.inner_rule, cp.outer_rule, verdict))
-    return ConfluenceReport(tuple(joinable + failures + unknown),
-                            tuple(joinable), tuple(failures), tuple(unknown))
+            return len(pairs), None
+        joins = alpha_eq(nl, nr) and joins
+    return len(pairs), joins
 
 
 # ---------------------------------------------------------------------------

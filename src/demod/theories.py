@@ -81,20 +81,19 @@ class Theory:
         return list(self.signature.functions) + list(self.signature.predicates)
 
 
-def validate_theory(theory: Theory, fuel: int = DEFAULT_FUEL) -> ValidationReport:
+def validate_theory(theory: Theory) -> ValidationReport:
     """Run every check on the theory's rules and report the verdicts;
     changes nothing and never rejects."""
     rs = theory.system
-    conf_report = check_local_confluence(rs, fuel)
-    confluent = None if conf_report.unknown else conf_report.locally_confluent
+    pair_count, confluent = check_local_confluence(rs)
     if rs.asserted_terminating:
         termination = "user-asserted"
     elif check_termination_lpo(rs, theory.default_precedence()):
         termination = "lpo"
     else:
         termination = "unknown"
-    report = ValidationReport(check_nonconfusing(rs), len(conf_report.pairs),
-                              confluent, termination, theory.notes)
+    report = ValidationReport(check_nonconfusing(rs), pair_count, confluent,
+                              termination, theory.notes)
     # rewriting keeps a connective at the root, so equal normal forms
     # have equal heads: convergence rules out confusion by itself
     return replace(report, nonconfusing=True) if report.convergent else report
@@ -209,9 +208,6 @@ class SubformulaSet:
 
     representatives: tuple[Node, ...]
     status: str  # "closed" | "truncated-at-fuel" | "infinite-schematic"
-
-    def keys(self) -> frozenset[str]:
-        return frozenset(alpha_key(r) for r in self.representatives)
 
 
 def _immediate_subformulae(p: Node):

@@ -1,6 +1,7 @@
-"""Shared helpers: seeded random term and proposition generators, a
-per-step reference for cut elimination, and a terminal summary hook for
-the acceptance criteria lines."""
+"""Shared helpers: seeded random term and proposition generators,
+random-redex and per-step references for normalization and cut
+elimination, and a terminal summary hook for the acceptance criteria
+lines."""
 
 import random
 from math import inf
@@ -18,8 +19,9 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from demod import (
-    And, App, Atom, BOT, Exists, ForAll, FuelExhausted, Imp, Or, TOP, Var,
-    check_proof, find_cuts, free_vars, load_builtin, reduce_cut,
+    DEFAULT_FUEL, And, App, Atom, BOT, Exists, ForAll, FuelExhausted, Imp, Or,
+    TOP, Var, check_proof, find_cuts, free_vars, load_builtin, reduce_cut,
+    rewrite_positions,
 )
 
 
@@ -72,6 +74,19 @@ def random_prop(rng, sig, depth=3, vars_pool=(), quantifiers=True):
     body = random_prop(rng, sig, depth - 1, tuple(vars_pool) + (v,),
                        quantifiers)
     return (ForAll if kind == 6 else Exists)(v, body)
+
+
+def random_normal_form(rs, x, rng, fuel=DEFAULT_FUEL):
+    """Rewriting at a redex that ``rng`` picks among all of them until
+    none is left, a reference for ``normalize``'s leftmost-innermost
+    order.  Raises FuelExhausted once it has taken more than ``fuel``
+    steps."""
+    for _ in range(fuel + 1):
+        redexes = rewrite_positions(rs, x)
+        if not redexes:
+            return x
+        _, _, x = rng.choice(redexes)
+    raise FuelExhausted(steps=fuel + 1)
 
 
 def stepwise_normalize(theory, proof, goal, fuel=1000):

@@ -17,12 +17,14 @@ from demod import (
     unify_syntactic,
 )
 from demod.parsing import (
-    parse_proof, parse_prop, parse_sequent, parse_term, print_proof,
+    parse_node, parse_proof, parse_prop, parse_sequent, print_proof,
 )
 from demod.syntax import QUANT
 
 import conftest
-from conftest import random_prop, random_term, stepwise_normalize
+from conftest import (
+    random_normal_form, random_prop, random_term, stepwise_normalize,
+)
 
 SEED = 20260823
 
@@ -52,7 +54,7 @@ def test_criterion_2_narrowing_golden():
     no_mgu = unify_syntactic(l, r) is None
     stream = narrow_unify(UnificationProblem.of([(l, r)], assoc.system),
                           depth=8)
-    want = parse_term("(plus b c)", sig)
+    want = parse_node("(plus b c)", sig)
     found = any(alpha_eq(s.get(Var("x", "elem")), want)
                 for s in stream.solutions)
     report(2, no_mgu and found,
@@ -185,7 +187,8 @@ def test_criterion_8_subformula_golden():
     theory = Theory("qq", sig, rs)
     s = subformula_closure(theory, Atom("P"))
     want = frozenset({alpha_key(Atom("P")), alpha_key(Atom("Q"))})
-    report(8, s.status == "closed" and s.keys() == want,
+    report(8, s.status == "closed"
+           and frozenset(map(alpha_key, s.representatives)) == want,
            "under P ~> (imp Q Q) the closure of P is exactly {[P], [Q]}")
 
 
@@ -228,7 +231,7 @@ def _strategy_suite(rng):
         else:
             x = random_prop(rng, sig, 3, quantifiers=False)
         a = normalize(theory.system, x).value
-        b = normalize(theory.system, x, strategy="random", rng=rng).value
+        b = random_normal_form(theory.system, x, rng)
         if not alpha_eq(a, b):
             bad += 1
     return bad

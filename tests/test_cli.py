@@ -440,6 +440,20 @@ class TestErrors:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize("text", [
+        "sort nat.\nfunc f : nat.\nfunc f : nat -> nat.\npred P : nat.\n"
+        "pred P.\n",
+        "sort nat.\npred f : nat.\nfunc f : nat -> nat.\n",
+        "sort nat.\nfunc f : nat.\npred f.\n",
+    ])
+    def test_redeclared_symbol(self, run, tmp_path, text):
+        # the later declaration used to replace the earlier one
+        thy = tmp_path / "twice.thy"
+        thy.write_text(text)
+        code, out, err = run("validate", str(thy))
+        assert (code, out) == (2, "#verdict: error\n")
+        assert err == "parse error: 3:6: symbol 'f' is already declared\n"
+
     def test_unknown_builtin(self, run):
         code, out, err = run("validate", "builtin:nope")
         assert code == 2

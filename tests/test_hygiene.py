@@ -1,6 +1,8 @@
 """Every name a module of the package imports is used in that module,
-every parameter of every function is read in its body, and every
-module-level private function is referred to somewhere in the package.
+every parameter of every function is read in its body, every
+module-level private function is referred to somewhere in the package,
+and every module-level public function or class is referred to by
+package code other than ``__init__.py``, or is a library entry point.
 
 No linter ships with the project, so this walks each module's syntax
 tree instead.  ``__init__.py`` is left out of the import check: it
@@ -77,16 +79,16 @@ def test_checker_sees_unread_parameter():
         "line 2: m(b)", "line 2: m(c)", "line 5: f(x)"]
 
 
-def orphaned_helpers(sources: dict[str, str]) -> list[str]:
-    """Module-level private functions of ``{module: source}`` that no code
-    refers to, except their own body (a name, an attribute or an import)."""
+def unreferenced(sources: dict[str, str], picks) -> list[str]:
+    """Module-level definitions of ``{module: source}`` that ``picks``
+    selects and that no code refers to, except their own body (a name,
+    an attribute or an import)."""
     refs: dict[str, set] = {}   # name -> {(module, top-level owner)}
     defs = []
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
             owner = getattr(stmt, "name", None)
-            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and owner.startswith("_") and not owner.startswith("__")):
+            if picks(stmt):
                 defs.append((owner, module))
             for n in ast.walk(stmt):
                 if isinstance(n, ast.Name):
@@ -101,6 +103,29 @@ def orphaned_helpers(sources: dict[str, str]) -> list[str]:
                     refs.setdefault(name, set()).add((module, owner))
     return [f"{module}: {name}" for name, module in defs
             if refs.get(name, set()) - {(module, name)} == set()]
+
+
+def orphaned_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions that no code refers to."""
+    return unreferenced(sources, lambda stmt: (
+        isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and stmt.name.startswith("_") and not stmt.name.startswith("__")))
+
+
+# public names that no other module reaches, kept as library calls
+ENTRY_POINTS = {"normalize_proof"}
+
+
+def unreached_public_names(sources: dict[str, str],
+                           allowed=ENTRY_POINTS) -> list[str]:
+    """Module-level public functions and classes that no code but
+    ``__init__.py``'s re-exports refers to, other than those ``allowed``
+    names."""
+    modules = {m: s for m, s in sources.items() if m != "__init__.py"}
+    return unreferenced(modules, lambda stmt: (
+        isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                          ast.ClassDef))
+        and not stmt.name.startswith("_") and stmt.name not in allowed))
 
 
 def test_every_private_function_is_used():
@@ -122,6 +147,29 @@ def test_checker_sees_orphaned_helper():
                  "X = a._by_attribute\n"),
     }
     assert orphaned_helpers(sources) == ["a.py: _orphan", "a.py: _self_only"]
+
+
+def test_every_public_name_is_reached():
+    sources = {p.name: p.read_text() for p in SOURCES}
+    assert unreached_public_names(sources) == []
+
+
+def test_checker_sees_unreached_public_name():
+    sources = {
+        "__init__.py": "from .a import exported, Called\n",
+        "a.py": ("def exported():\n    pass\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n"
+                 "class Called:\n    pass\n"
+                 "def entry():\n    return Called()\n"
+                 "def imported():\n    pass\n"
+                 "def _private():\n    pass\n"
+                 "VALUE = 1\n"),
+        "b.py": "from .a import imported\n",
+    }
+    assert unreached_public_names(sources, {"entry"}) \
+        == ["a.py: exported", "a.py: recursive"]
+    assert unreached_public_names(sources, set()) \
+        == ["a.py: exported", "a.py: recursive", "a.py: entry"]
 
 
 def self_calling_closures(source: str) -> list[str]:

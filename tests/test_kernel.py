@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from demod import (
     And, App, Atom, Bottom, Exists, ForAll, FuelExhausted, Imp, Or, Proof,
-    RewriteSystem, Sequent, TOP, Theory, Top, Var, apply_subst,
-    check_proof, find_cuts, free_vars, iff_axioms_to_rules, load_builtin,
-    normalize_proof, print_node, reduce_cut,
+    Sequent, TOP, Top, Var, apply_subst, check_proof, find_cuts, free_vars,
+    load_builtin, normalize_proof, print_node, reduce_cut,
 )
 from demod.kernel import free_labels, subst_hyp
 from demod import kernel
 from demod.errors import ProofError
-from demod.parsing import parse_proof, parse_prop, parse_sequent, print_proof
+from demod.parsing import parse_proof, parse_sequent, print_proof
 
 from conftest import random_prop, random_term, stepwise_normalize
 
@@ -612,38 +611,6 @@ class TestLabelScoping:
         sig = addition.signature
         got = subst_hyp(parse_proof(text, sig), label, parse_proof(repl, sig))
         assert print_proof(got) == want
-
-
-class TestIffAxiomsToRules:
-    def test_def_conj_axiom(self, def_conj):
-        sig = def_conj.signature
-        ax = parse_prop('(and (imp P (and A B)) (imp (and A B) P))', sig)
-        dr = iff_axioms_to_rules([ax])
-        assert len(dr.rules) == 1
-        assert dr.rules[0].lhs == Atom("P")
-        assert dr.hazards == ()
-
-    def test_quantified_axiom(self, addition):
-        sig = addition.signature
-        ax = parse_prop(
-            '(forall (x : nat) (and (imp (P x) (P (plus x 0)))'
-            ' (imp (P (plus x 0)) (P x))))', sig)
-        dr = iff_axioms_to_rules([ax])
-        assert len(dr.rules) == 1
-        assert print_node(dr.rules[0].lhs) == "(P x)"
-
-    def test_self_reference_flagged(self, crabbe):
-        sig = crabbe.signature
-        ax = parse_prop('(and (imp P (imp P Q)) (imp (imp P Q) P))', sig)
-        dr = iff_axioms_to_rules([ax])
-        assert dr.hazards == ("def_P",)
-
-    def test_resulting_theory_checks_same_proofs(self, def_conj):
-        sig = def_conj.signature
-        ax = parse_prop('(and (imp P (and A B)) (imp (and A B) P))', sig)
-        dr = iff_axioms_to_rules([ax])
-        t2 = Theory("derived", sig, RewriteSystem(list(dr.rules)))
-        assert chk(t2, '(and_e1 (axiom "h"))', 'h : P |- A').ok
 
 
 def numeral(k):

@@ -177,8 +177,8 @@ def _theories(name):
 ])
 def test_narrowing_goldens_match_reference(name, left, right, depth):
     theory, ref = _theories(name)
-    a = demod.parsing.parse_term(left, theory.signature)
-    b = demod.parsing.parse_term(right, theory.signature)
+    a = demod.parsing.parse_node(left, theory.signature)
+    b = demod.parsing.parse_node(right, theory.signature)
     got, want = _narrow_both(theory, ref, a, b, depth=depth, cap=16)
     assert [printed(s) for s in got.solutions] \
         == [printed(s) for s in want.solutions]
@@ -374,7 +374,7 @@ def test_normalize_returns_same_object_when_normal(addition):
 @pytest.mark.parametrize("fuel", [1, 2, 3, 7])
 def test_fuel_message_matches_reference(name, text, fuel):
     theory, ref = load_builtin(name), ref_theory(name)
-    t = demod.parsing.parse_term(text, theory.signature)
+    t = demod.parsing.parse_node(text, theory.signature)
     got = _normal_form_or_message(normalize, theory.system, t, fuel)
     want = _normal_form_or_message(refdemod.normalize, ref.system,
                                    to_ref(t), fuel)

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from demod import (
@@ -9,9 +7,9 @@ from demod import (
     load_builtin, match_pattern, normalize, print_node, rewrite_positions,
 )
 from demod.errors import RuleError
-from demod.parsing import parse_prop, parse_term
+from demod.parsing import parse_node
 
-from conftest import random_term
+from conftest import random_normal_form, random_term
 
 
 def nat(n):
@@ -69,14 +67,13 @@ class TestNormalize:
         for _ in range(100):
             t = random_term(rng, sig, "nat", 4)
             a = normalize(addition.system, t).value
-            b = normalize(addition.system, t, strategy="random",
-                          rng=rng).value
+            b = random_normal_form(addition.system, t, rng)
             assert alpha_eq(a, b)
 
 
 class TestRewritePositions:
     def test_single_root_redex(self, assoc):
-        t = parse_term("(plus (plus a b) (plus (plus c d) e))",
+        t = parse_node("(plus (plus a b) (plus (plus c d) e))",
                        assoc.signature)
         redexes = rewrite_positions(assoc.system, t)
         assert len(redexes) == 1
@@ -123,8 +120,8 @@ class TestCongruence:
 
     def test_comm_heuristic(self):
         comm = load_builtin("comm")
-        a = parse_term("(plus a b)", comm.signature)
-        b = parse_term("(plus b a)", comm.signature)
+        a = parse_node("(plus a b)", comm.signature)
+        b = parse_node("(plus b a)", comm.signature)
         assert congruent(comm.system, a, b)
 
 
@@ -143,8 +140,7 @@ class TestCriticalPairs:
         assert cps[0].position == (0,)
 
     def test_local_confluence_positive(self, addition):
-        rep = check_local_confluence(addition.system)
-        assert rep.locally_confluent
+        assert check_local_confluence(addition.system) == (0, True)
         assert addition.report.locally_confluent
 
     def test_local_confluence_negative(self):
@@ -152,8 +148,23 @@ class TestCriticalPairs:
             RewriteRule("r1", App("a"), App("b")),
             RewriteRule("r2", App("a"), App("c")),
         ])
-        rep = check_local_confluence(rs)
-        assert rep.locally_confluent is False
+        assert check_local_confluence(rs) == (2, False)
+
+    def test_local_confluence_unknown_after_a_failure(self):
+        # b ~> c against b ~> d has distinct normal forms; the later
+        # pair (f (g (g a))) / a has no normal form on its left side
+        x = Var("x", "s")
+        rs = RewriteSystem([
+            RewriteRule("r1", App("b"), App("c")),
+            RewriteRule("r2", App("b"), App("d")),
+            RewriteRule("r3", App("f", (App("g", (x,)),)), x),
+            RewriteRule("r4", App("g", (App("a"),)),
+                        App("g", (App("g", (App("a"),)),))),
+        ])
+        assert [(cp.outer_rule, cp.inner_rule)
+                for cp in critical_pairs(rs)] \
+            == [("r1", "r2"), ("r2", "r1"), ("r3", "r4")]
+        assert check_local_confluence(rs) == (3, None)
 
 
 class TestLPO:

@@ -137,8 +137,8 @@ class TestSubformulaClosure:
         t = Theory("qq", sig, rs)
         s = subformula_closure(t, Atom("P"))
         assert s.status == "closed"
-        assert s.keys() == frozenset({alpha_key(Atom("P")),
-                                      alpha_key(Atom("Q"))})
+        assert set(map(alpha_key, s.representatives)) \
+            == {alpha_key(Atom("P")), alpha_key(Atom("Q"))}
 
     def test_def_conj(self, def_conj):
         s = subformula_closure(def_conj, Atom("P"))

@@ -6,7 +6,7 @@ from demod import (
     narrow_unify, print_node, unify_syntactic,
 )
 from demod.cli import main
-from demod.parsing import parse_term, parse_theory
+from demod.parsing import parse_node, parse_theory
 
 from conftest import random_term
 
@@ -107,12 +107,12 @@ class TestProblemConstruction:
 class TestNarrowing:
     def test_assoc_witness(self, assoc):
         sig = assoc.signature
-        l = parse_term("(plus a x:elem)", sig)
-        r = parse_term("(plus (plus a b) c)", sig)
+        l = parse_node("(plus a x:elem)", sig)
+        r = parse_node("(plus (plus a b) c)", sig)
         assert unify_syntactic(l, r) is None
         stream = narrow_unify(
             UnificationProblem.of([(l, r)], assoc.system), depth=8)
-        expected = parse_term("(plus b c)", sig)
+        expected = parse_node("(plus b c)", sig)
         assert any(alpha_eq(s.get(Var("x", "elem")), expected)
                    for s in stream.solutions)
 
