@@ -304,6 +304,7 @@ def parse_theory(text: str, name: str = "file") -> Theory:
     functions: dict = {}
     predicates: dict = {}
     rules: list[RewriteRule] = []
+    rule_names: set[str] = set()
     asserted = False
     sig = None   # the signature declared so far, built at the next rule
 
@@ -337,7 +338,11 @@ def parse_theory(text: str, name: str = "file") -> Theory:
                     ss.append(lx.next()[1])
             predicates[pr] = ss
         elif word == "rule":
-            rname = lx.expect("id", "a rule name")[1]
+            _, rname, nline, ncol = lx.expect("id", "a rule name")
+            if rname in rule_names:
+                raise ParseError(f"rule {rname!r} is already declared",
+                                 nline, ncol)
+            rule_names.add(rname)
             lx.expect("colon", "':'")
             if sig is None:
                 sig = make_signature(sorts, functions, predicates)

@@ -147,7 +147,8 @@ class SolutionStream:
 
     ``complete`` is True when the bounded search space was fully
     exhausted; False means the stream was truncated at the depth bound
-    or the solution cap and further solutions may exist."""
+    or the solution cap, or a verification ran out of fuel, and further
+    solutions may exist."""
 
     solutions: tuple[Subst, ...]
     complete: bool
@@ -191,67 +192,89 @@ def narrow_unify(problem: UnificationProblem, depth: int = 8,
     """Narrowing with eager normalization between steps.
 
     Every emitted substitution is verified against the congruence before
-    emission; duplicates modulo variable renaming are removed.  Bound
-    overruns are flagged in the stream, never silent.  Once per expanded
-    state, its pairs are unified and the rules renamed apart from its
-    variables.  Every side of a state is normal, and a step normalizes
-    only the sides it changes.  A state keeps the bindings of the
-    problem's variables only: nothing else reaches its key or a
-    solution."""
+    emission; duplicates modulo variable renaming are removed.  Once per
+    expanded state, its pairs are unified and the rules renamed apart
+    from its variables.  Every side of a state is normal, and a step
+    normalizes only the sides it changes.  A state keeps the bindings of
+    the problem's variables only: nothing else reaches its key or a
+    solution.  A state at the depth bound is never queued but unified as
+    it is made; one that unifies is kept and emitted after the queue
+    empties, in the order the queue would have popped it.  While the
+    stream is complete such a state is deduplicated and asked whether a
+    step leaves it: if one does, ``complete`` turns False, as it does when
+    the cap is reached or verifying a solution runs out of fuel."""
     if depth <= 0 or cap <= 0:
         raise ValueError("bounds must be positive")
     rs = problem.system
     problem_vars = set().union(*(free_vars(t) for pair in problem.pairs
                                  for t in pair))
     ordered_vars = sorted(problem_vars, key=lambda w: (w.name, w.sort))
+    solutions: list[Subst] = []
+    seen_solutions: set[str] = set()
+    complete = True
 
     def state_key(pairs, acc):
         nodes = [n for pr in pairs for n in pr]
         nodes += [acc.get(v, v) for v in ordered_vars]
         return _variant_key(nodes)
 
+    def capped(sol) -> bool:
+        """Emit a new, verified ``sol``; True once the cap is reached."""
+        nonlocal complete
+        key = _variant_key([sol.get(v, v) for v in ordered_vars])
+        if key not in seen_solutions:
+            try:
+                ok = all(congruent(rs, apply_subst(sol, l),
+                                   apply_subst(sol, r), fuel)
+                         for l, r in problem.pairs)
+            except FuelExhausted:
+                ok = complete = False
+            if ok:
+                seen_solutions.add(key)
+                solutions.append(sol)
+        return len(solutions) >= cap
+
     start = tuple((_norm(rs, l, fuel), _norm(rs, r, fuel))
                   for l, r in problem.pairs)
     queue: deque[tuple[tuple, Subst, int]] = deque([(start, {}, 0)])
     seen_states = {state_key(start, {})}
-    solutions: list[Subst] = []
-    seen_solutions: set[str] = set()
-    complete = True
-
+    at_bound: list[tuple[Subst, Subst, Subst]] = []   # (acc, u, mgu)
     while queue:
         pairs, acc, d = queue.popleft()
         mgu = unify_pairs(pairs)
-        if mgu is not None:
-            sol = compose(acc, mgu, problem_vars)
-            key = _variant_key([sol.get(v, v) for v in ordered_vars])
-            if key not in seen_solutions and _verified(problem, sol, fuel):
-                seen_solutions.add(key)
-                solutions.append(sol)
-                if len(solutions) >= cap:
-                    complete = False
-                    break
-        # expand: one narrowing step at any non-variable position; a
-        # state at the depth bound only needs to know that it has one
+        if mgu is not None and capped(compose(acc, mgu, problem_vars)):
+            break
+        # expand: one narrowing step at any non-variable position
+        below = d + 1 < depth
         sides = [(t, free_vars(t)) for pair in pairs for t in pair]
-        steps = _narrowing_steps(rs.by_head, sides)
-        if d >= depth:
-            if next(steps, None) is not None:
-                complete = False
-            continue
-        for k, pos, rhs, u in steps:
+        for k, pos, rhs, u in _narrowing_steps(rs.by_head, sides):
             # side k narrowed and each side u instantiates, normalized
             # once; a side with no variable that u binds is kept as it is
             new = [t if j != k and vs.isdisjoint(u) else _norm(rs, apply_subst(
                 u, replace_at(t, pos, rhs) if j == k else t), fuel)
                 for j, (t, vs) in enumerate(sides)]
             normed = tuple(zip(new[0::2], new[1::2]))
-            acc2 = compose(acc, u, problem_vars)
-            key = state_key(normed, acc2)
-            if key in seen_states:
+            if below or complete:
+                acc2 = compose(acc, u, problem_vars)
+                key = state_key(normed, acc2)
+                if key in seen_states:
+                    continue
+                seen_states.add(key)
+            if below:
+                queue.append((normed, acc2, d + 1))
                 continue
-            seen_states.add(key)
-            queue.append((normed, acc2, d + 1))
-    return SolutionStream(tuple(solutions), complete)
+            last = unify_pairs(normed)
+            if last is not None:
+                at_bound.append((acc, u, last))
+            if complete and next(_narrowing_steps(
+                    rs.by_head, [(t, free_vars(t)) for t in new]), None):
+                complete = False
+    else:   # the queue emptied below the cap
+        for acc, u, mgu in at_bound:
+            if capped(compose(compose(acc, u, problem_vars), mgu,
+                              problem_vars)):
+                break
+    return SolutionStream(tuple(solutions), complete and len(solutions) < cap)
 
 
 def _narrowing_steps(by_head, sides):
@@ -275,13 +298,3 @@ def _narrowing_steps(by_head, sides):
                 u = unify_syntactic(node, ren.lhs)
                 if u is not None:
                     yield k, pos, ren.rhs, u
-
-
-def _verified(problem: UnificationProblem, sol: Subst, fuel: int) -> bool:
-    try:
-        return all(
-            congruent(problem.system, apply_subst(sol, l),
-                      apply_subst(sol, r), fuel)
-            for l, r in problem.pairs)
-    except FuelExhausted:
-        return False

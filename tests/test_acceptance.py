@@ -6,8 +6,6 @@ computed by plain integer arithmetic, never by the engine under test.
 
 import random
 
-import pytest
-
 from demod import (
     App, Atom, FuelExhausted, Imp, Proof, RewriteRule, RewriteSystem,
     Sequent, Theory, UnificationProblem, Var, alpha_eq, alpha_key,
@@ -19,7 +17,6 @@ from demod import (
 from demod.parsing import (
     parse_node, parse_proof, parse_prop, parse_sequent, print_proof,
 )
-from demod.syntax import QUANT
 
 import conftest
 from conftest import (

@@ -88,10 +88,12 @@ def test_traced_narrow_pass_work(tmp_path):
     # The narrowing is pinned: the same calls, unifications, solutions
     # and rewrite steps.  A step normalizes only the sides it changes,
     # which took the normalize calls from 26 152 to 13 335, and adds no
-    # substitution.
+    # substitution.  A state at the depth bound asks whether a step
+    # leaves it only while the stream is complete, which took the
+    # unifications from 21 567 to 17 615.
     m = traced_pass_metrics("narrow", tmp_path / "pass")
     assert (m["unification.narrow_calls"], m["unification.unify_calls"],
-            m["unification.solutions"]) == (79, 21567, 97)
+            m["unification.solutions"]) == (79, 17615, 97)
     assert m["rewriting.steps"] == 575
     assert m["prover.nodes"] == 6
     assert m["rewriting.normalize_calls"] <= 13335

@@ -101,6 +101,29 @@ class TestUnify:
         assert (code, err) == (1, "")
         assert out == "the two sides can never unify\n#verdict: no\n"
 
+    def test_cycle_closing_at_the_bound_is_complete(self, run):
+        # (plus a b) narrows to (plus b a) and back to (plus a b), a state
+        # already seen: at depth 2 the whole space is explored
+        code, out, err = run("unify", "builtin:comm", "(plus a b)", "c",
+                             "--depth", "2")
+        assert (code, err) == (1, "")
+        assert out == "complete: yes\n#verdict: no\n"
+
+    def test_verification_out_of_fuel_is_not_a_no(self, run, tmp_path):
+        # x -> a, y -> a solves it, but checking that takes three steps
+        thy = tmp_path / "fh.thy"
+        thy.write_text("sort s. func a : s. func b : s. func c : s. "
+                       "func f : s -> s. func h : s s -> s. "
+                       "rule fa: (f a) ~> b. rule hbb: (h b b) ~> c.\n")
+        argv = ("unify", str(thy), "(h (f x:s) (f y:s))", "c", "--depth", "4")
+        code, out, err = run(*argv, "--fuel", "2")
+        assert (code, err) == (2, "")
+        assert out == "complete: no\n#verdict: bound-exceeded\n"
+        code, out, err = run(*argv, "--fuel", "3")
+        assert (code, err) == (0, "")
+        assert out == ("solution 0: {x -> a, y -> a}\ncomplete: yes\n"
+                       "#verdict: yes\n")
+
     def test_proposition_rule_not_convergent(self, run):
         # P ~> (imp P Q) does not terminate, yet P and (imp P Q) are
         # congruent: a definite "no" would be wrong
@@ -453,6 +476,14 @@ class TestErrors:
         code, out, err = run("validate", str(thy))
         assert (code, out) == (2, "#verdict: error\n")
         assert err == "parse error: 3:6: symbol 'f' is already declared\n"
+
+    def test_repeated_rule_name(self, run, tmp_path):
+        thy = tmp_path / "twice.thy"
+        thy.write_text("sort i.\nfunc c : i.\nrule r: c ~> c.\n"
+                       "rule r: c ~> c.\n")
+        code, out, err = run("validate", str(thy))
+        assert (code, out) == (2, "#verdict: error\n")
+        assert err == "parse error: 4:6: rule 'r' is already declared\n"
 
     def test_unknown_builtin(self, run):
         code, out, err = run("validate", "builtin:nope")

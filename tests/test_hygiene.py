@@ -1,5 +1,5 @@
-"""Every name a module of the package imports is used in that module,
-every parameter of every function is read in its body, every
+"""Every name a module of the package or a test file imports is used in
+that file, every parameter of every function is read in its body, every
 module-level private function is referred to somewhere in the package,
 and every module-level public function or class is referred to by
 package code other than ``__init__.py``, or is a library entry point.
@@ -17,6 +17,7 @@ import pytest
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "demod"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+TESTS = sorted(PACKAGE.parent.parent.joinpath("tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,7 +36,7 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_prop
 from demod import (
-    Atom, RewriteSystem, Sequent, Theory, alpha_key, apply_subst,
+    RewriteSystem, Sequent, Theory, alpha_key, apply_subst,
     check_proof, consistency_probe, find_cuts, load_builtin, search_proof,
 )
 from demod import kernel, prover

@@ -167,25 +167,38 @@ def _theories(name):
     return demod.parsing.parse_theory(TWO_STEPS), ref
 
 
+ASSOC_GOLDEN = ("assoc", "(plus a x:elem)", "(plus (plus a b) c)")
+TWO_STEPS_GOLDEN = ("two-steps", "(f x:s y:s)", "c")
+
+
 @pytest.mark.parametrize("depth", range(1, 7))
-@pytest.mark.parametrize("name,left,right", [
-    ("assoc", "(plus a x:elem)", "(plus (plus a b) c)"),
+@pytest.mark.parametrize("name,left,right,cap", [
+    (*ASSOC_GOLDEN, 16),
     # both sides share a variable that a narrowing step binds
-    ("addition", "(plus x:nat z:nat)", "x:nat"),
-    ("addition", "(S x:nat)", "(plus x:nat z:nat)"),
-    ("two-steps", "(f x:s y:s)", "c"),
+    ("addition", "(plus x:nat z:nat)", "x:nat", 16),
+    ("addition", "(S x:nat)", "(plus x:nat z:nat)", 16),
+    (*TWO_STEPS_GOLDEN, 16),
+    # (plus a b) narrows to (plus b a) and back, a state already seen: from
+    # depth 2, where the cycle closes at the bound, the search is complete
+    ("comm", "(plus a b)", "c", 16),
+    # a cap of 1 is reached among the states at the bound, emitted after
+    # the queue empties (assoc at depth 1, two-steps at depth 2)
+    (*ASSOC_GOLDEN, 1), (*ASSOC_GOLDEN, 2),
+    (*TWO_STEPS_GOLDEN, 1), (*TWO_STEPS_GOLDEN, 2),
 ])
-def test_narrowing_goldens_match_reference(name, left, right, depth):
+def test_narrowing_goldens_match_reference(name, left, right, cap, depth):
     theory, ref = _theories(name)
     a = demod.parsing.parse_node(left, theory.signature)
     b = demod.parsing.parse_node(right, theory.signature)
-    got, want = _narrow_both(theory, ref, a, b, depth=depth, cap=16)
+    got, want = _narrow_both(theory, ref, a, b, depth=depth, cap=cap)
     assert [printed(s) for s in got.solutions] \
         == [printed(s) for s in want.solutions]
     assert got.complete == want.complete
     if name == "two-steps":
-        assert got.complete == (depth >= 2)
+        assert got.complete == (depth >= 2 and cap > 1)
         assert len(got.solutions) == (depth >= 2)
+    if name == "comm":
+        assert got.complete == (depth >= 2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from demod import (
     And, App, Atom, BOT, Exists, ForAll, Imp, Or, TOP, Var, alpha_eq,
     alpha_key, apply_subst, compose, free_vars, fresh_var, load_builtin,
-    make_signature, print_node, print_prop, print_term, term_sort,
-    wellformed,
+    make_signature, print_prop, print_term, term_sort, wellformed,
 )
-from demod.errors import TheoryError
 from demod.syntax import (
     QUANT, Bottom, Hole, Top, children, positions, replace_at,
     with_children,

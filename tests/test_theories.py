@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from demod import (
-    And, Atom, BUILTIN_NAMES, Hole, Imp, RewriteRule, RewriteSystem, Theory,
+    And, Atom, BUILTIN_NAMES, Imp, RewriteRule, RewriteSystem, Theory,
     Var, alpha_key, check_proof, load_builtin, make_signature, print_node,
     search_proof, subformula_closure, validate_theory,
 )

@@ -1,9 +1,9 @@
 import pytest
 
 from demod import (
-    And, App, Atom, BOT, ForAll, Imp, SolutionStream, TOP,
-    UnificationProblem, Var, alpha_eq, apply_subst, congruent, load_builtin,
-    narrow_unify, print_node, unify_syntactic,
+    And, App, Atom, BOT, ForAll, Imp, TOP, UnificationProblem, Var,
+    alpha_eq, apply_subst, congruent, load_builtin, narrow_unify,
+    unify_syntactic,
 )
 from demod.cli import main
 from demod.parsing import parse_node, parse_theory
