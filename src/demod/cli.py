@@ -2,8 +2,8 @@
 
 Every verb prints a short deterministic report whose last line is a
 single ``#verdict: <word>`` line.  Exit status: 0 for a positive
-verdict, 1 for a definite negative, 2 for errors and for searches that
-hit a bound without an answer.
+verdict, 1 for a definite negative, 2 for errors, for searches that
+hit a bound without an answer and for ``fuel-exhausted``.
 """
 
 from __future__ import annotations
@@ -75,10 +75,7 @@ def _cmd_check(args) -> int:
 def _cmd_normalize(args) -> int:
     theory = _load_theory(args.theory)
     x = parse_node(args.expr, theory.signature)
-    try:
-        nf = normalize(theory.system, x, fuel=args.fuel)
-    except FuelExhausted as e:
-        return _verdict("fuel-exhausted", [str(e)])
+    nf = normalize(theory.system, x, fuel=args.fuel)
     return _verdict("ok", [print_node(nf.value), f"steps: {nf.steps}"])
 
 
@@ -86,10 +83,7 @@ def _cmd_congruent(args) -> int:
     theory = _load_theory(args.theory)
     a = parse_node(args.left, theory.signature)
     b = parse_node(args.right, theory.signature)
-    try:
-        same, how = congruent_detail(theory.system, a, b, fuel=args.fuel)
-    except FuelExhausted as e:
-        return _verdict("fuel-exhausted", [str(e)])
+    same, how = congruent_detail(theory.system, a, b, fuel=args.fuel)
     return _verdict("yes" if same else "no", [f"method: {how}"])
 
 
@@ -258,6 +252,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
+    except FuelExhausted as e:   # one word for it, whichever verb ran out
+        return _verdict("fuel-exhausted", [str(e)])
     except Exception as e:   # any error or crash, never a definite "no"
         kind = "parse error" if isinstance(e, ParseError) else "error"
         print(f"{kind}: {e}", file=sys.stderr)

@@ -27,6 +27,7 @@ from .rewriting import RewriteRule, RewriteSystem
 from .syntax import (
     App, Atom, BINARY, BOT, CONNECTIVES, Node, Proposition, QUANT, Signature,
     TOP, Term, Var, make_signature, print_node, print_prop, term_sort,
+    valid_ident,
 )
 from .theories import Theory
 
@@ -307,6 +308,7 @@ def parse_theory(text: str, name: str = "file") -> Theory:
     rule_names: set[str] = set()
     asserted = False
     sig = None   # the signature declared so far, built at the next rule
+    uses: list = []   # (symbol, sort token) for each sort a symbol names
 
     while not lx.at_end():
         _, word, line, col = lx.expect("id", "a declaration")
@@ -318,25 +320,26 @@ def parse_theory(text: str, name: str = "file") -> Theory:
         elif word == "func":
             fn = _new_symbol(lx, "a function name", functions, predicates)
             lx.expect("colon", "':'")
-            ss = []
+            toks = []
             while lx.peek()[0] == "id":
-                ss.append(lx.next()[1])
+                toks.append(lx.next())
             if lx.peek()[0] == "arrow":
                 lx.next()
-                result = lx.expect("id", "a result sort")[1]
-                functions[fn] = (ss, result)
-            else:
-                if len(ss) != 1:
-                    lx.error("constant declarations take a single sort")
-                functions[fn] = ([], ss[0])
+                toks.append(lx.expect("id", "a result sort"))
+            elif len(toks) != 1:
+                lx.error("constant declarations take a single sort")
+            *args, result = [t[1] for t in toks]
+            functions[fn] = (args, result)
+            uses.extend((f"function {fn}", t) for t in toks)
         elif word == "pred":
             pr = _new_symbol(lx, "a predicate name", functions, predicates)
-            ss = []
+            toks = []
             if lx.peek()[0] == "colon":
                 lx.next()
                 while lx.peek()[0] == "id":
-                    ss.append(lx.next()[1])
-            predicates[pr] = ss
+                    toks.append(lx.next())
+            predicates[pr] = [t[1] for t in toks]
+            uses.extend((f"predicate {pr}", t) for t in toks)
         elif word == "rule":
             _, rname, nline, ncol = lx.expect("id", "a rule name")
             if rname in rule_names:
@@ -345,7 +348,7 @@ def parse_theory(text: str, name: str = "file") -> Theory:
             rule_names.add(rname)
             lx.expect("colon", "':'")
             if sig is None:
-                sig = make_signature(sorts, functions, predicates)
+                sig = _signature(sorts, functions, predicates, uses)
             sub = _Parser("", sig)
             sub.lx = lx
             lhs = _rule_side(sub, None)
@@ -374,8 +377,8 @@ def parse_theory(text: str, name: str = "file") -> Theory:
 
     rs = RewriteSystem(rules, asserted_terminating=asserted)
     try:
-        return Theory(name, sig or make_signature(sorts, functions, predicates),
-                      rs)
+        return Theory(
+            name, sig or _signature(sorts, functions, predicates, uses), rs)
     except TheoryError as e:
         raise ParseError(str(e), 1, 1)
 
@@ -384,9 +387,20 @@ def _new_symbol(lx: _Lexer, what: str, functions, predicates) -> str:
     """The name a func or pred declaration declares; functions and
     predicates share one namespace, and a name is declared once."""
     _, name, line, col = lx.expect("id", what)
+    if not valid_ident(name):
+        raise ParseError(f"illegal or reserved identifier {name!r}", line, col)
     if name in functions or name in predicates:
         raise ParseError(f"symbol {name!r} is already declared", line, col)
     return name
+
+
+def _signature(sorts, functions, predicates, uses) -> Signature:
+    """The signature declared so far; a sort named but not declared is
+    refused where it is named."""
+    for symbol, (_, sort, line, col) in uses:
+        if sort not in sorts:
+            raise ParseError(f"{symbol}: undeclared sort {sort!r}", line, col)
+    return make_signature(sorts, functions, predicates)
 
 
 def _rule_side(p: _Parser, expected) -> Node:

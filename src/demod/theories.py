@@ -14,14 +14,12 @@ from typing import Optional
 
 from .errors import FuelExhausted, TheoryError
 from .rewriting import (
-    DEFAULT_FUEL, RewriteRule, RewriteSystem,
-    check_local_confluence, check_nonconfusing, check_termination_lpo,
-    congruent, normalize, rewrite_positions,
+    DEFAULT_FUEL, RewriteSystem, check_local_confluence, check_nonconfusing,
+    check_termination_lpo, congruent, normalize, rewrite_positions,
 )
 from .syntax import (
-    And, App, Atom, ForAll, Hole, Imp, Node, Proposition,
-    QUANT, Signature, Var, alpha_key, apply_subst, children, is_term,
-    make_signature, print_node, wellformed,
+    Atom, Hole, Node, Proposition, QUANT, Signature, alpha_key, apply_subst,
+    children, is_term, print_node, wellformed,
 )
 
 
@@ -100,98 +98,54 @@ def validate_theory(theory: Theory) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# Builtin theories, assembled from the worked examples
+# Builtin theories: name -> (text in the theory-file syntax, notes)
 
 
-def _nat_sig(preds=None):
-    return make_signature(
-        ["nat"],
-        {"0": ([], "nat"), "S": (["nat"], "nat"),
-         "plus": (["nat", "nat"], "nat")},
-        preds or {"P": ["nat"]})
-
-
-def _elem_sig():
-    consts = {c: ([], "elem") for c in "abcde"}
-    consts["plus"] = (["elem", "elem"], "elem")
-    return make_signature(["elem"], consts, {"P": ["elem"], "Q": ["elem"]})
+_NAT = ("sort nat. func 0 : nat. func S : nat -> nat. "
+        "func plus : nat nat -> nat. pred P : nat. ")
+_ELEM = ("sort elem. func a : elem. func b : elem. func c : elem. "
+         "func d : elem. func e : elem. func plus : elem elem -> elem. "
+         "pred P : elem. pred Q : elem. ")
+BUILTINS = {
+    "empty": ("sort iota. pred P. pred Q.", ()),
+    "def-conj": ("sort iota. pred A. pred B. pred P. "
+                 "rule def_P: P ~> (and A B).  # P abbreviates A and B", ()),
+    "assoc": (_ELEM + "rule assoc: (plus x (plus y z)) ~> "
+              "(plus (plus x y) z).", ()),
+    "addition": (_NAT + "rule add0: (plus 0 y) ~> y. "
+                 "rule addS: (plus (S x) y) ~> (S (plus x y)).", ()),
+    "powerset": ("sort set. func pow : set -> set. pred in : set set. "
+                 "rule powerset: (in x (pow y)) ~> "
+                 "(forall (z : set) (imp (in z x) (in z y))). "
+                 "assert terminating.  # each step reduces pow-nesting", ()),
+    "crabbe": ("sort iota. pred P. pred Q. rule crabbe: P ~> (imp P Q).",
+               ("self-referential definition: the head predicate occurs "
+                "in its own body",
+                "known negative: cut elimination fails (a proof of Q "
+                "exists, no cut-free proof of Q does)")),
+    "comm": (_ELEM + "rule comm: (plus x y) ~> (plus y x).",
+             ("non-terminating as a rewrite system; the congruence is "
+              "decided heuristically only",)),
+    "p0-forall": (_NAT + "rule p0: (P 0) ~> (forall (x : nat) (P x)). "
+                  "assert terminating.  # the rhs has no P(0) redex", ()),
+    "pf-collapse": ("sort iota. func f : iota -> iota. pred P : iota. "
+                    "rule pf: (P (f x)) ~> (P x).", ()),
+}
+BUILTIN_NAMES = tuple(BUILTINS)
+_built: dict[str, Theory] = {}   # name: the builtin, built on first use
 
 
 def load_builtin(name: str) -> Theory:
-    """The named builtin theory; raises TheoryError on unknown names."""
-    if name == "empty":
-        sig = make_signature(["iota"], {}, {"P": [], "Q": []})
-        t = Theory("empty", sig, RewriteSystem([]))
-    elif name == "def-conj":
-        # P is an abbreviation for A and B
-        sig = make_signature(["iota"], {}, {"A": [], "B": [], "P": []})
-        rule = RewriteRule("def_P", Atom("P"), And(Atom("A"), Atom("B")))
-        t = Theory("def-conj", sig, RewriteSystem([rule]))
-    elif name == "assoc":
-        sig = _elem_sig()
-        x, y, z = (Var(n, "elem") for n in "xyz")
-        rule = RewriteRule(
-            "assoc",
-            App("plus", (x, App("plus", (y, z)))),
-            App("plus", (App("plus", (x, y)), z)))
-        t = Theory("assoc", sig, RewriteSystem([rule]))
-    elif name == "addition":
-        sig = _nat_sig()
-        x, y = Var("x", "nat"), Var("y", "nat")
-        r1 = RewriteRule("add0", App("plus", (App("0"), y)), y)
-        r2 = RewriteRule("addS",
-                         App("plus", (App("S", (x,)), y)),
-                         App("S", (App("plus", (x, y)),)))
-        t = Theory("addition", sig, RewriteSystem([r1, r2]))
-    elif name == "powerset":
-        sig = make_signature(
-            ["set"], {"pow": (["set"], "set")},
-            {"in": ["set", "set"]})
-        x, y, z = (Var(n, "set") for n in "xyz")
-        rule = RewriteRule(
-            "powerset",
-            Atom("in", (x, App("pow", (y,)))),
-            ForAll(z, Imp(Atom("in", (z, x)), Atom("in", (z, y)))))
-        # asserted: each step strictly reduces pow-nesting
-        t = Theory("powerset", sig,
-                   RewriteSystem([rule], asserted_terminating=True))
-    elif name == "crabbe":
-        sig = make_signature(["iota"], {}, {"P": [], "Q": []})
-        rule = RewriteRule("crabbe", Atom("P"), Imp(Atom("P"), Atom("Q")))
-        t = Theory("crabbe", sig, RewriteSystem([rule]),
-                   notes=("self-referential definition: the head predicate "
-                          "occurs in its own body",
-                          "known negative: cut elimination fails (a proof "
-                          "of Q exists, no cut-free proof of Q does)"))
-    elif name == "comm":
-        sig = _elem_sig()
-        x, y = Var("x", "elem"), Var("y", "elem")
-        rule = RewriteRule("comm", App("plus", (x, y)), App("plus", (y, x)))
-        t = Theory("comm", sig, RewriteSystem([rule]),
-                   notes=("non-terminating as a rewrite system; the "
-                          "congruence is decided heuristically only",))
-    elif name == "p0-forall":
-        sig = _nat_sig()
-        x = Var("x", "nat")
-        rule = RewriteRule("p0", Atom("P", (App("0"),)),
-                           ForAll(x, Atom("P", (x,))))
-        # asserted: the rhs contains no further P(0) redex
-        t = Theory("p0-forall", sig,
-                   RewriteSystem([rule], asserted_terminating=True))
-    elif name == "pf-collapse":
-        sig = make_signature(["iota"], {"f": (["iota"], "iota")},
-                             {"P": ["iota"]})
-        x = Var("x", "iota")
-        rule = RewriteRule("pf", Atom("P", (App("f", (x,)),)),
-                           Atom("P", (x,)))
-        t = Theory("pf-collapse", sig, RewriteSystem([rule]))
-    else:
-        raise TheoryError(f"unknown builtin theory {name!r}")
-    return t
-
-
-BUILTIN_NAMES = ("empty", "def-conj", "assoc", "addition", "powerset",
-                 "crabbe", "comm", "p0-forall", "pf-collapse")
+    """The named builtin theory, one shared immutable instance per name
+    and process; raises TheoryError on unknown names."""
+    if name not in _built:
+        if name not in BUILTINS:
+            raise TheoryError(f"unknown builtin theory {name!r}")
+        from .parsing import parse_theory   # parsing imports this module
+        text, notes = BUILTINS[name]
+        theory = parse_theory(text, name)
+        _built[name] = replace(theory, notes=notes) if notes else theory
+    return _built[name]
 
 
 # ---------------------------------------------------------------------------

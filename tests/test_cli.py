@@ -444,11 +444,34 @@ class TestValidateAndSubformulae:
             "locally confluent: yes\ntermination: lpo\n#verdict: ok\n"),
             "")
 
-    def test_validate_builtin_notes(self, run):
-        code, out, _ = run("validate", "builtin:crabbe")
-        assert code == 0
-        assert "termination: unknown" in out
-        assert "note:" in out
+    # name: (critical pairs, termination, notes) as validate prints them
+    BUILTIN_REPORTS = {
+        "empty": (0, "lpo", ""),
+        "def-conj": (0, "lpo", ""),
+        "assoc": (1, "lpo", ""),
+        "addition": (0, "lpo", ""),
+        "powerset": (0, "user-asserted", ""),
+        "crabbe": (0, "unknown",
+                   "note: self-referential definition: the head predicate "
+                   "occurs in its own body\n"
+                   "note: known negative: cut elimination fails (a proof of "
+                   "Q exists, no cut-free proof of Q does)\n"),
+        "comm": (0, "unknown",
+                 "note: non-terminating as a rewrite system; the congruence "
+                 "is decided heuristically only\n"),
+        "p0-forall": (0, "user-asserted", ""),
+        "pf-collapse": (0, "lpo", ""),
+    }
+
+    @pytest.mark.parametrize("name", BUILTIN_REPORTS)
+    def test_validate_builtin_notes(self, run, name):
+        pairs, termination, notes = self.BUILTIN_REPORTS[name]
+        assert run("validate", f"builtin:{name}") == (0, (
+            f"lhs shapes ok: yes\nnon-confusing: yes\ncritical pairs: "
+            f"{pairs}\nlocally confluent: yes\ntermination: {termination}\n"
+            f"{notes}#verdict: ok\n"), "")
+        # built once per process: every load shares one theory
+        assert demod.load_builtin(name) is demod.load_builtin(name)
 
     def test_subformulae(self, run):
         code, out, _ = run("subformulae", "builtin:def-conj", "P")
@@ -484,6 +507,24 @@ class TestErrors:
         code, out, err = run("validate", str(thy))
         assert (code, out) == (2, "#verdict: error\n")
         assert err == "parse error: 4:6: rule 'r' is already declared\n"
+
+    @pytest.mark.parametrize("text,err", [
+        ("sort i. func top : i.\n",
+         "1:14: illegal or reserved identifier 'top'"),
+        ("sort i. func c : j.\n", "1:18: function c: undeclared sort 'j'"),
+        ("sort i. pred P : j.\n", "1:18: predicate P: undeclared sort 'j'"),
+    ], ids=["reserved-name", "func-sort", "pred-sort"])
+    def test_signature_error_located(self, run, tmp_path, text, err):
+        thy = tmp_path / "sig.thy"
+        thy.write_text(text)
+        assert run("validate", str(thy)) == (
+            2, "#verdict: error\n", f"parse error: {err}\n")
+
+    def test_sort_declared_after_use(self, run, tmp_path):
+        thy = tmp_path / "late.thy"
+        thy.write_text("func c : j.\nsort i. sort j. pred P : j.\n")
+        code, out, err = run("validate", str(thy))
+        assert (code, verdict(out), err) == (0, "ok", "")
 
     def test_unknown_builtin(self, run):
         code, out, err = run("validate", "builtin:nope")
@@ -524,6 +565,36 @@ def numeral(k):
     for _ in range(k):
         n = f"(S {n})"
     return n
+
+
+class TestFuelExhausted:
+    """Every verb that runs out of rewrite fuel says so with one word."""
+
+    GOAL = "(imp (P (plus (S (S 0)) 0)) (P (S (S 0))))"
+
+    @pytest.mark.parametrize("fuel,code,out", [
+        ("2", 2, "no normal form of (P (S (S 0))) within 2 steps\n"
+                 "#verdict: fuel-exhausted\n"),
+        ("3", 0, "#verdict: ok\n"),
+    ], ids=["fuel-2", "fuel-3"])
+    def test_check(self, run, tmp_path, fuel, code, out):
+        proof, goal = tmp_path / "p.prf", tmp_path / "g.seq"
+        proof.write_text('(imp_i "h" (axiom "h"))\n')
+        goal.write_text(f"|- {self.GOAL}\n")
+        assert run("check", "builtin:addition", str(proof), str(goal),
+                   "--fuel", fuel) == (code, out, "")
+
+    def test_prove(self, run):
+        assert run("prove", "builtin:addition", self.GOAL,
+                   "--fuel", "1") == (2, (
+                       "no normal form of (P (S (S (plus 0 0)))) within 1 "
+                       "steps\n#verdict: fuel-exhausted\n"), "")
+
+    def test_unify(self, run):
+        assert run("unify", "builtin:addition", "(plus (S (S (S 0))) x:nat)",
+                   "y:nat", "--fuel", "1") == (2, (
+                       "no normal form of (S (S (plus (S 0) x))) within 1 "
+                       "steps\n#verdict: fuel-exhausted\n"), "")
 
 
 class TestDeepInputs:

@@ -1,16 +1,19 @@
 import dataclasses
+import pathlib
 
 import pytest
 
 from demod import (
     And, Atom, BUILTIN_NAMES, Imp, RewriteRule, RewriteSystem, Theory,
-    Var, alpha_key, check_proof, load_builtin, make_signature, print_node,
-    search_proof, subformula_closure, validate_theory,
+    Var, alpha_eq, alpha_key, check_proof, load_builtin, make_signature,
+    print_node, search_proof, subformula_closure, validate_theory,
 )
 from demod.errors import RuleError, TheoryError
 from demod.parsing import (
     parse_proof, parse_prop, parse_sequent, parse_theory,
 )
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 class TestBuiltins:
@@ -38,6 +41,28 @@ class TestBuiltins:
     ])
     def test_termination_verdicts(self, name, termination):
         assert load_builtin(name).report.termination == termination
+
+    @pytest.mark.parametrize("name,path", [
+        ("addition", "addition.thy"), ("assoc", "assoc.thy"),
+        ("crabbe", "crabbe.thy"), ("def-conj", "defconj.thy"),
+        ("powerset", "powerset.thy"),
+    ])
+    def test_corpus_file_is_the_builtin(self, name, path):
+        # the same theory twice: as a file, and as the builtin's text
+        f = parse_theory((CORPUS / path).read_text(), name)
+        b = load_builtin(name)
+        assert f.signature == b.signature
+        # the declaration order is the LPO precedence
+        assert f.default_precedence() == b.default_precedence()
+        assert [r.name for r in f.system.rules] == \
+            [r.name for r in b.system.rules]
+        for fr, br in zip(f.system.rules, b.system.rules):
+            assert alpha_eq(fr.lhs, br.lhs) and alpha_eq(fr.rhs, br.rhs)
+        assert f.system.asserted_terminating == b.system.asserted_terminating
+
+        def verdicts(t):
+            return [ln for ln in t.report.lines() if not ln.startswith("note:")]
+        assert verdicts(f) == verdicts(b)
 
     def test_addition_convergent(self, addition):
         assert addition.report.locally_confluent
