@@ -248,6 +248,16 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _too_deep(e: RecursionError) -> str:
+    """Input past the recursion limit, and the innermost layer it hit."""
+    import traceback   # this path only: no cost at startup
+    names = [f.f_globals.get("__name__", "")
+             for f, _ in traceback.walk_tb(e.__traceback__)]
+    layer = [n for n in names if n.startswith(f"{__package__}.")][-1]
+    return (f"input nested too deeply for the {layer.rpartition('.')[2]} "
+            f"layer (recursion limit {sys.getrecursionlimit()})")
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -256,7 +266,8 @@ def main(argv=None) -> int:
         return _verdict("fuel-exhausted", [str(e)])
     except Exception as e:   # any error or crash, never a definite "no"
         kind = "parse error" if isinstance(e, ParseError) else "error"
-        print(f"{kind}: {e}", file=sys.stderr)
+        text = _too_deep(e) if isinstance(e, RecursionError) else e
+        print(f"{kind}: {text}", file=sys.stderr)
         print("#verdict: error")
         return EXIT_ERROR
 

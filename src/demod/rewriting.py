@@ -96,35 +96,43 @@ def _head(x: Node) -> Optional[str]:
 
 def match_pattern(pattern: Node, subject: Node) -> Optional[Subst]:
     """First-order matching: a substitution s with s(pattern) == subject,
-    or None.  Patterns are legal rule left-hand sides, so no binders."""
-    s: Subst = {}
-    if _match(pattern, subject, s):
-        return s
-    return None
+    or None, for a rule's left-hand side and a well-formed subject."""
+    return (getattr(pattern, "_matcher", None) or _compile(pattern))(subject)
 
 
-def _match(p: Node, t: Node, s: Subst) -> bool:
-    if isinstance(p, Var):
-        if not is_term(t):
-            return False
-        if p in s:
-            return s[p] == t
-        s[p] = t
-        return True
-    if isinstance(p, App):
-        if not isinstance(t, App) or p.fn != t.fn:
-            return False
-    elif isinstance(p, Atom):
-        if not isinstance(t, Atom) or p.pred != t.pred:
-            return False
-    else:
-        return False  # holes and non-atomic propositions never occur here
-    if len(p.args) != len(t.args):
-        return False
-    for a, b in zip(p.args, t.args):
-        if not _match(a, b, s):
-            return False
-    return True
+# matcher code by its source, which names no symbol: left-hand sides of
+# one shape, as a theory file's definitions often are, compile once
+_CODE: dict = {}
+
+
+def _compile(pattern: Node):
+    """Make and keep the pattern's matcher: one flat expression with, per
+    node, a type, head and arity test, ``==`` on a repeated variable and
+    the bindings; heads and variables are constants, never source text."""
+    env = {"App": App, "Atom": Atom}
+    tests, first, todo = [], {}, [(pattern, "t")]   # first: Var -> subject
+    while todo:
+        p, t = todo.pop()
+        if isinstance(p, Var):
+            if p in first:
+                tests.append(f"{first[p]} == {t}")
+            first.setdefault(p, t)
+        elif isinstance(p, (App, Atom)):
+            j, field = len(env), "fn" if isinstance(p, App) else "pred"
+            env[f"k{j}"] = _head(p)
+            tests.append(f"type(t{j} := {t}) is {type(p).__name__} and "
+                         f"t{j}.{field} == k{j} and "
+                         f"len(a{j} := t{j}.args) == {len(p.args)}")
+            todo += [(c, f"a{j}[{i}]") for i, c in enumerate(p.args)][::-1]
+        else:
+            tests.append("False")   # holes and connectives never match
+    env.update((f"v{i}", v) for i, v in enumerate(first))
+    binds = ", ".join(f"v{i}: {t}" for i, t in enumerate(first.values()))
+    source = f"lambda t: {{{binds}}} if {' and '.join(tests)} else None"
+    if source not in _CODE:
+        _CODE[source] = compile(source, "<matcher>", "eval")
+    object.__setattr__(pattern, "_matcher", eval(_CODE[source], env))
+    return pattern._matcher
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,9 @@ class App:
     fn: str
     args: tuple["Term", ...] = ()
 
+    def __reduce__(self):   # the fields, not the values kept on the node
+        return App, (self.fn, self.args)
+
     def __repr__(self):
         return print_term(self)
 
@@ -137,6 +140,9 @@ Term = Union[Var, App, Hole]
 class Atom:
     pred: str
     args: tuple[Term, ...] = ()
+
+    def __reduce__(self):   # the fields, not the values kept on the node
+        return Atom, (self.pred, self.args)
 
     def __repr__(self):
         return print_prop(self)
@@ -268,8 +274,8 @@ def positions(x: Node) -> Iterator[tuple[Position, Node]]:
 # ---------------------------------------------------------------------------
 # Free variables and sorts.  ``free_vars`` and ``alpha_key`` of a
 # proposition are computed on first request and kept on the node with
-# ``object.__setattr__``, outside the dataclass fields, so ``==``,
-# ``hash``, ``repr`` and ``dataclasses.fields`` do not see them.  Neither
+# ``object.__setattr__``, outside the fields (so is a rule's matcher):
+# ``==``, ``hash``, ``repr``, ``pickle`` and ``copy`` miss them.  Neither
 # is kept on terms: narrowing asks about most fresh terms only once.
 # Variables hash by identity, so a set of them iterates in address
 # order: sort it by name wherever that order could reach output.

@@ -1,6 +1,7 @@
 """The benchmark's smoke mode: one job per family of every workload,
-judged by its oracle.  And the work counters of one traced pass of the
-search and of the narrow workload."""
+judged by its oracle.  The work counters of one traced pass of the
+search and of the narrow workload.  And ``tools/ab_timing.py --counts``
+on this checkout against itself."""
 
 import contextlib
 import io
@@ -8,6 +9,8 @@ import json
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -49,10 +52,13 @@ def test_traced_search_pass_work(tmp_path):
     # Rewriting work may only fall: the exposure memo answers a repeated
     # normalization of one atom (def-conj's P) instead of redoing it,
     # which took the counts from 78 steps in 43 785 calls to 54 steps.
+    # Every match goes through ``match_pattern``, which the tracer wraps:
+    # a matcher called around it would read fewer than the 73 matches.
     m = traced_pass_metrics("search", tmp_path / "pass")
     assert (m["prover.search_calls"], m["prover.nodes"],
             m["prover.narrowing_calls"]) == (110, 19850, 0)
     assert m["rewriting.steps"] == 54
+    assert m["rewriting.match_calls"] == 73
     assert m["rewriting.normalize_calls"] <= 2383
 
 
@@ -98,11 +104,29 @@ def test_traced_narrow_pass_work(tmp_path):
     # critical-pair unifications and joins run once in the pass, not in
     # each of 55 assoc and 48 addition jobs: from 17 615 unifications
     # to 17 467, and from 575 rewrite steps to 413 (3 for each assoc
-    # validation).
+    # validation).  Matching is pinned too, at 102 013 ``match_pattern``
+    # calls with 413 hits, so generated matchers are reached through it.
     m = traced_pass_metrics("narrow", tmp_path / "pass")
     assert (m["unification.narrow_calls"], m["unification.unify_calls"],
             m["unification.solutions"]) == (79, 17467, 97)
     assert m["rewriting.steps"] == 413
+    assert m["rewriting.match_calls"] == 102013
+    assert m["rewriting.match_hit_ratio"] == pytest.approx(413 / 102013)
     assert m["prover.nodes"] == 6
     assert m["rewriting.normalize_calls"] <= 13335
     assert m["syntax.apply_subst_calls"] <= 81022
+
+
+def test_ab_timing_counts_against_itself():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_timing.py"), str(ROOT),
+         str(ROOT), "check", "-k", "1", "--counts"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-1] == "counts agree: yes"
+    assert "outputs agree: yes" in lines
+    rows = {line.split()[0]: line.split()[1:] for line in lines
+            if line.startswith("  ") and "." in line.split()[0]}
+    a, b = rows["rewriting.match_calls"]
+    assert a == b and int(a) > 0

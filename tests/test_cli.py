@@ -615,6 +615,25 @@ class TestDeepInputs:
             assert (code, err) == (0, "")
             assert out == "method: normal-form\n#verdict: yes\n"
 
+    # Input nested past Python's recursion limit gets one message, which
+    # names the layer whose frame was innermost and the limit, instead of
+    # Python's "maximum recursion depth exceeded in comparison".
+    def too_deep(self, layer):
+        return (2, "#verdict: error\n",
+                f"error: input nested too deeply for the {layer} layer "
+                f"(recursion limit {sys.getrecursionlimit()})\n")
+
+    def test_normalize_too_deep(self, run):
+        assert run("normalize", "builtin:addition", numeral(1200)) \
+            == self.too_deep("parsing")
+
+    def test_check_too_deep(self, run, tmp_path):
+        proof, goal = tmp_path / "p.prf", tmp_path / "g.seq"
+        proof.write_text('(axiom "h")\n')
+        goal.write_text(f"h : (P {numeral(1200)}) |- (P {numeral(1200)})\n")
+        assert run("check", "builtin:addition", str(proof), str(goal)) \
+            == self.too_deep("parsing")
+
 
 class TestShadowedBinders:
     # Under the inner x of each side, x is bound by the second binder and
