@@ -12,14 +12,18 @@ Formats (all line/column reported on error):
                          conclusion annotation  : <prop>
   sequents               h : <prop>, g : <prop> |- <prop>
 
-Terms and propositions print with ``syntax.print_node``.  Parsing what
-``print_proof`` emits gives back the printed proof.
+A text is split by one ``findall`` of ``_TOKEN``, and a token's kind is
+read off its first character.  The parser reads the tokens by index and
+keeps no position: a token's line and column are worked out from the
+text only when a ``ParseError`` names them.  Terms and propositions
+print with ``syntax.print_node``; parsing what ``print_proof`` emits
+gives back the printed proof.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .errors import ParseError, RuleError, TheoryError
 from .kernel import LAYOUT, Proof, Sequent
@@ -31,191 +35,203 @@ from .syntax import (
 )
 from .theories import Theory
 
+# one alternative per token class; whitespace and comments are pieces too,
+# so the pieces of a text cover it unless some character starts no token
 _TOKEN = re.compile(r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<lp>\()
-  | (?P<rp>\))
-  | (?P<rulearrow>~>)
-  | (?P<arrow>->)
-  | (?P<turnstile>\|-)
-  | (?P<colon>:)
-  | (?P<dot>\.)
-  | (?P<comma>,)
-  | (?P<str>"[^"\n]*")
-  | (?P<id>[A-Za-z0-9_'?+*=]+)
+    [ \t\r\n]+ | \#[^\n]* | \( | \) | ~> | -> | \|- | : | \. | , | "[^"\n]*"
+  | [A-Za-z0-9_'?+*=]+
 """, re.VERBOSE)
+
+# a token's kind by its first character; "" is the end of input, and
+# every other token is an identifier
+_KINDS = {"(": "lp", ")": "rp", "~": "rulearrow", "-": "arrow",
+          "|": "turnstile", ":": "colon", ".": "dot", ",": "comma",
+          '"': "str", "": "eof"}
 
 _CONSTANTS = {CONNECTIVES[type(c)]: c for c in (TOP, BOT)}
 _CONNECTIVES = {name: c for c, name in CONNECTIVES.items() if c in BINARY}
 _QUANTS = {name: c for c, name in CONNECTIVES.items() if c in QUANT}
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.tokens: list[tuple[str, str, int, int]] = []
-        line, col = 1, 1
-        i = 0
-        while i < len(text):
-            m = _TOKEN.match(text, i)
-            if not m:
-                raise ParseError(f"unexpected character {text[i]!r}", line, col)
-            kind = m.lastgroup
-            value = m.group()
-            if kind not in ("ws", "comment"):
-                self.tokens.append((kind, value, line, col))
-            nl = value.count("\n")
-            if nl:
-                line += nl
-                col = len(value) - value.rfind("\n")
-            else:
-                col += len(value)
-            i = m.end()
-        self.tokens.append(("eof", "", line, col))
-        self.pos = 0
+def _kind(tok: str) -> str:
+    return _KINDS.get(tok[:1], "id")
 
-    def peek(self, ahead: int = 0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
-    def next(self):
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
+def _lex(text: str) -> list[str]:
+    """The tokens of `text`, then "" for the end of input."""
+    pieces = _TOKEN.findall(text)
+    if sum(map(len, pieces)) != len(text):
+        offset = 0   # the first character that no piece covers
+        for m in _TOKEN.finditer(text):
+            if m.start() != offset:
+                break
+            offset = m.end()
+        raise ParseError(f"unexpected character {text[offset]!r}",
+                         *_location(text, offset))
+    toks = list(filter(str.strip, pieces))   # whitespace strips to ""
+    if "#" in text:
+        toks = [t for t in toks if t[0] != "#"]
+    toks.append("")
+    return toks
 
-    def expect(self, kind: str, what: str = ""):
-        tok = self.next()
-        if tok[0] != kind:
-            want = what or kind
-            raise ParseError(f"expected {want}, found {tok[1] or 'end of input'!r}",
-                             tok[2], tok[3])
-        return tok
 
-    def error(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok[2], tok[3])
+def _offsets(text: str) -> list[int]:
+    """Where each token of `text` starts, then where the text ends."""
+    return [m.start() for m in _TOKEN.finditer(text)
+            if m.group()[0] not in " \t\r\n#"] + [len(text)]
 
-    def at_end(self) -> bool:
-        return self.peek()[0] == "eof"
+
+def _location(text: str, offset: int) -> tuple[int, int]:
+    """Line and column of an offset, from 1; any character is one column."""
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
 
 
 class _Parser:
-    def __init__(self, text: str, sig: Signature):
-        self.lx = _Lexer(text)
+    """Reads the tokens of one text by index."""
+
+    def __init__(self, text: str, sig: Optional[Signature]):
+        self.text = text
+        self.toks = _lex(text)
+        self.i = 0   # the next token
         self.sig = sig
         self.var_sorts: dict[str, str] = {}
+
+    def fail(self, message: str, at: int) -> NoReturn:
+        """Raise a ParseError located at token `at`."""
+        raise ParseError(message,
+                         *_location(self.text, _offsets(self.text)[at]))
+
+    def expected(self, what: str, at: int) -> NoReturn:
+        tok = self.toks[at]
+        self.fail(f"expected {what}, found {tok or 'end of input'!r}", at)
+
+    def expect(self, kind: str, what: str) -> str:
+        i = self.i
+        tok = self.toks[i]
+        if _KINDS.get(tok[:1], "id") != kind:   # _kind, inlined
+            self.expected(what, i)
+        self.i = i + 1
+        return tok
 
     # -- terms -------------------------------------------------------------
 
     def term(self, expected: Optional[str]) -> Term:
-        kind, value, line, col = self.lx.peek()
-        if kind == "lp":
-            self.lx.next()
-            _, fn, l2, c2 = self.lx.expect("id", "a function symbol")
-            if fn not in self.sig.functions:
-                raise ParseError(f"unknown function {fn!r}", l2, c2)
-            arg_sorts, result = self.sig.functions[fn]
+        toks, i = self.toks, self.i
+        tok = toks[i]
+        if tok == "(":
+            fn = toks[i + 1]
+            entry = self.sig.functions.get(fn)   # every key is an identifier
+            if entry is None:
+                if _kind(fn) != "id":
+                    self.expected("a function symbol", i + 1)
+                self.fail(f"unknown function {fn!r}", i + 1)
+            self.i = i + 2
+            arg_sorts, result = entry
             args = []   # a plain loop: one Python frame per term level
             for s in arg_sorts:
                 args.append(self.term(s))
-            self.lx.expect("rp", "')'")
+            if toks[self.i] != ")":
+                self.expected("')'", self.i)
+            self.i += 1
             if expected is not None and result != expected:
-                raise ParseError(
-                    f"term of sort {result} where {expected} is needed",
-                    line, col)
+                self.fail(f"term of sort {result} where {expected} is needed",
+                          i)
             return App(fn, tuple(args))
-        if kind != "id":
-            self.lx.error("expected a term")
-        self.lx.next()
-        if value in self.sig.functions and not self.sig.functions[value][0]:
-            result = self.sig.functions[value][1]
+        entry = self.sig.functions.get(tok)
+        if entry is not None and not entry[0]:
+            self.i = i + 1
+            result = entry[1]
             if expected is not None and result != expected:
-                raise ParseError(
-                    f"constant {value} has sort {result}, expected {expected}",
-                    line, col)
-            return App(value)
+                self.fail(f"constant {tok} has sort {result}, "
+                          f"expected {expected}", i)
+            return App(tok)
+        if _kind(tok) != "id":
+            self.fail("expected a term", i)
         # a variable, possibly annotated
+        self.i = i + 1
         sort = None
-        if self.lx.peek()[0] == "colon":
-            self.lx.next()
-            sort = self.lx.expect("id", "a sort")[1]
-        known = self.var_sorts.get(value)
+        if toks[i + 1] == ":":
+            self.i = i + 2
+            sort = self.expect("id", "a sort")
+        known = self.var_sorts.get(tok)
         sort = sort or expected or known
         if sort is None:
-            raise ParseError(
-                f"cannot infer the sort of variable {value!r} "
-                f"(annotate as {value}:<sort>)", line, col)
+            self.fail(f"cannot infer the sort of variable {tok!r} "
+                      f"(annotate as {tok}:<sort>)", i)
         if expected is not None and sort != expected:
-            raise ParseError(
-                f"variable {value} of sort {sort} where {expected} is needed",
-                line, col)
+            self.fail(
+                f"variable {tok} of sort {sort} where {expected} is needed", i)
         if known is not None and known != sort:
-            raise ParseError(
-                f"variable {value} already used at sort {known}", line, col)
+            self.fail(f"variable {tok} already used at sort {known}", i)
         if sort not in self.sig.sorts:
-            raise ParseError(f"undeclared sort {sort!r}", line, col)
-        self.var_sorts[value] = sort
-        return Var(value, sort)
+            self.fail(f"undeclared sort {sort!r}", i)
+        self.var_sorts[tok] = sort
+        return Var(tok, sort)
 
     # -- propositions -------------------------------------------------------
 
     def prop(self) -> Proposition:
-        kind, value, line, col = self.lx.peek()
-        if kind == "id":
-            self.lx.next()
-            if value in _CONSTANTS:
-                return _CONSTANTS[value]
-            if value in self.sig.predicates:
-                if self.sig.predicates[value]:
-                    raise ParseError(
-                        f"predicate {value} takes arguments", line, col)
-                return Atom(value)
-            raise ParseError(f"unknown predicate {value!r}", line, col)
-        if kind != "lp":
-            self.lx.error("expected a proposition")
-        self.lx.next()
-        _, head, l2, c2 = self.lx.expect("id", "a connective or predicate")
+        toks, i = self.toks, self.i
+        tok = toks[i]
+        if tok != "(":
+            if _kind(tok) != "id":
+                self.fail("expected a proposition", i)
+            self.i = i + 1
+            if tok in _CONSTANTS:
+                return _CONSTANTS[tok]
+            if tok in self.sig.predicates:
+                if self.sig.predicates[tok]:
+                    self.fail(f"predicate {tok} takes arguments", i)
+                return Atom(tok)
+            self.fail(f"unknown predicate {tok!r}", i)
+        head = toks[i + 1]
+        self.i = i + 2
         if head in _CONNECTIVES:
             a = self.prop()
             b = self.prop()
-            self.lx.expect("rp", "')'")
+            self.expect("rp", "')'")
             return _CONNECTIVES[head](a, b)
         if head in _QUANTS:
             v = self.binder()
             body = self.prop()
-            self.lx.expect("rp", "')'")
+            self.expect("rp", "')'")
             self.var_sorts.pop(v.name, None)
             return _QUANTS[head](v, body)
         if head in self.sig.predicates:
             args = []
             for s in self.sig.predicates[head]:
                 args.append(self.term(s))
-            self.lx.expect("rp", "')'")
+            self.expect("rp", "')'")
             return Atom(head, tuple(args))
-        raise ParseError(f"unknown predicate {head!r}", l2, c2)
+        if _kind(head) != "id":
+            self.expected("a connective or predicate", i + 1)
+        self.fail(f"unknown predicate {head!r}", i + 1)
 
     def binder(self) -> Var:
-        self.lx.expect("lp", "'('")
-        _, name, line, col = self.lx.expect("id", "a variable")
-        self.lx.expect("colon", "':'")
-        _, sort, l2, c2 = self.lx.expect("id", "a sort")
-        self.lx.expect("rp", "')'")
+        self.expect("lp", "'('")
+        at = self.i
+        name = self.expect("id", "a variable")
+        self.expect("colon", "':'")
+        sort = self.expect("id", "a sort")
+        self.expect("rp", "')'")
         if sort not in self.sig.sorts:
-            raise ParseError(f"undeclared sort {sort!r}", l2, c2)
+            self.fail(f"undeclared sort {sort!r}", at + 2)
         if self.var_sorts.get(name, sort) != sort:
-            raise ParseError(
+            self.fail(
                 f"variable {name} already used at sort {self.var_sorts[name]}",
-                line, col)
+                at)
         self.var_sorts[name] = sort
         return Var(name, sort)
 
     # -- proofs --------------------------------------------------------------
 
     def proof(self) -> Proof:
-        self.lx.expect("lp", "'('")
-        _, tag, line, col = self.lx.expect("id", "a rule tag")
+        self.expect("lp", "'('")
+        at = self.i
+        tag = self.expect("id", "a rule tag")
         if tag not in LAYOUT:
-            raise ParseError(f"unknown rule tag {tag!r}", line, col)
+            self.fail(f"unknown rule tag {tag!r}", at)
         fields, children = {}, []
         for f in LAYOUT[tag]:
             if isinstance(f, int):
@@ -225,33 +241,29 @@ class _Parser:
             elif f == "witness":
                 fields[f] = self.term(None)
             else:
-                fields[f] = self.string()
+                fields[f] = self.expect("str", "a hypothesis label")[1:-1]
         if "eigen" in fields:
             self.var_sorts.pop(fields["eigen"].name, None)
         conclusion = None
-        if self.lx.peek()[0] == "colon":
-            self.lx.next()
+        if self.toks[self.i] == ":":
+            self.i += 1
             conclusion = self.prop()
-        self.lx.expect("rp", "')'")
+        self.expect("rp", "')'")
         return Proof(tag, tuple(children), conclusion=conclusion, **fields)
-
-    def string(self) -> str:
-        return self.lx.expect("str", "a hypothesis label")[1][1:-1]
 
     # -- sequents --------------------------------------------------------------
 
     def sequent(self) -> Sequent:
         context = []
-        if self.lx.peek()[0] != "turnstile":
+        if self.toks[self.i] != "|-":
             while True:
-                label = self.lx.expect("id", "a hypothesis label")[1]
-                self.lx.expect("colon", "':'")
+                label = self.expect("id", "a hypothesis label")
+                self.expect("colon", "':'")
                 context.append((label, self.prop()))
-                if self.lx.peek()[0] == "comma":
-                    self.lx.next()
-                    continue
-                break
-        self.lx.expect("turnstile", "'|-'")
+                if self.toks[self.i] != ",":
+                    break
+                self.i += 1
+        self.expect("turnstile", "'|-'")
         conclusion = self.prop()
         return Sequent(tuple(context), conclusion)
 
@@ -259,39 +271,36 @@ class _Parser:
 def parse_prop(text: str, sig: Signature) -> Proposition:
     p = _Parser(text, sig)
     a = p.prop()
-    p.lx.expect("eof", "end of input")
+    p.expect("eof", "end of input")
     return a
 
 
 def parse_node(text: str, sig: Signature) -> Node:
     """A term or a proposition, disambiguated by its head symbol."""
     p = _Parser(text, sig)
-    kind, value, _, _ = p.lx.peek()
-    if kind == "lp":
-        head = p.lx.peek(1)[1]
-    else:
-        head = value
-    if head in sig.functions or (kind == "id"
+    tok = p.toks[0]
+    head = p.toks[1] if tok == "(" else tok
+    if head in sig.functions or (_kind(tok) == "id"
                                  and head not in sig.predicates
                                  and head not in _CONSTANTS):
         x = p.term(None)
     else:
         x = p.prop()
-    p.lx.expect("eof", "end of input")
+    p.expect("eof", "end of input")
     return x
 
 
 def parse_proof(text: str, sig: Signature) -> Proof:
     p = _Parser(text, sig)
     pr = p.proof()
-    p.lx.expect("eof", "end of input")
+    p.expect("eof", "end of input")
     return pr
 
 
 def parse_sequent(text: str, sig: Signature) -> Sequent:
     p = _Parser(text, sig)
     s = p.sequent()
-    p.lx.expect("eof", "end of input")
+    p.expect("eof", "end of input")
     return s
 
 
@@ -300,7 +309,8 @@ def parse_sequent(text: str, sig: Signature) -> Sequent:
 
 
 def parse_theory(text: str, name: str = "file") -> Theory:
-    lx = _Lexer(text)
+    p = _Parser(text, None)   # its signature: the one declared so far
+    toks = p.toks
     sorts: list[str] = []
     functions: dict = {}
     predicates: dict = {}
@@ -308,109 +318,107 @@ def parse_theory(text: str, name: str = "file") -> Theory:
     rule_names: set[str] = set()
     asserted = False
     sig = None   # the signature declared so far, built at the next rule
-    uses: list = []   # (symbol, sort token) for each sort a symbol names
+    uses: list = []   # (symbol, sort token index) for each sort it names
 
-    while not lx.at_end():
-        _, word, line, col = lx.expect("id", "a declaration")
+    while toks[p.i]:
+        at = p.i
+        word = p.expect("id", "a declaration")
         if word in ("sort", "func", "pred"):
             sig = None
         if word == "sort":
-            s = lx.expect("id", "a sort name")[1]
-            sorts.append(s)
+            sorts.append(p.expect("id", "a sort name"))
         elif word == "func":
-            fn = _new_symbol(lx, "a function name", functions, predicates)
-            lx.expect("colon", "':'")
-            toks = []
-            while lx.peek()[0] == "id":
-                toks.append(lx.next())
-            if lx.peek()[0] == "arrow":
-                lx.next()
-                toks.append(lx.expect("id", "a result sort"))
-            elif len(toks) != 1:
-                lx.error("constant declarations take a single sort")
-            *args, result = [t[1] for t in toks]
+            fn = _new_symbol(p, "a function name", functions, predicates)
+            p.expect("colon", "':'")
+            named = []
+            while _kind(toks[p.i]) == "id":
+                named.append(p.i)
+                p.i += 1
+            if toks[p.i] == "->":
+                p.i += 1
+                named.append(p.i)
+                p.expect("id", "a result sort")
+            elif len(named) != 1:
+                p.fail("constant declarations take a single sort", p.i)
+            *args, result = [toks[j] for j in named]
             functions[fn] = (args, result)
-            uses.extend((f"function {fn}", t) for t in toks)
+            uses.extend((f"function {fn}", j) for j in named)
         elif word == "pred":
-            pr = _new_symbol(lx, "a predicate name", functions, predicates)
-            toks = []
-            if lx.peek()[0] == "colon":
-                lx.next()
-                while lx.peek()[0] == "id":
-                    toks.append(lx.next())
-            predicates[pr] = [t[1] for t in toks]
-            uses.extend((f"predicate {pr}", t) for t in toks)
+            pr = _new_symbol(p, "a predicate name", functions, predicates)
+            named = []
+            if toks[p.i] == ":":
+                p.i += 1
+                while _kind(toks[p.i]) == "id":
+                    named.append(p.i)
+                    p.i += 1
+            predicates[pr] = [toks[j] for j in named]
+            uses.extend((f"predicate {pr}", j) for j in named)
         elif word == "rule":
-            _, rname, nline, ncol = lx.expect("id", "a rule name")
+            rname = p.expect("id", "a rule name")
             if rname in rule_names:
-                raise ParseError(f"rule {rname!r} is already declared",
-                                 nline, ncol)
+                p.fail(f"rule {rname!r} is already declared", at + 1)
             rule_names.add(rname)
-            lx.expect("colon", "':'")
+            p.expect("colon", "':'")
             if sig is None:
-                sig = _signature(sorts, functions, predicates, uses)
-            sub = _Parser("", sig)
-            sub.lx = lx
-            lhs = _rule_side(sub, None)
-            lx.expect("rulearrow", "'~>'")
+                sig = p.sig = _signature(p, sorts, functions, predicates, uses)
+            p.var_sorts = {}   # a rule's variables are its own
+            lhs = _rule_side(p, None)
+            p.expect("rulearrow", "'~>'")
             if isinstance(lhs, App):
-                rhs: Node = sub.term(term_sort(sub.sig, lhs))
+                rhs: Node = p.term(term_sort(sig, lhs))
             elif isinstance(lhs, Atom):
-                rhs = sub.prop()
+                rhs = p.prop()
             else:
-                raise ParseError(
-                    "rule lhs must be a non-variable term or an atom",
-                    line, col)
+                p.fail("rule lhs must be a non-variable term or an atom", at)
             try:
                 rules.append(RewriteRule(rname, lhs, rhs))
             except RuleError as e:
-                raise ParseError(str(e), line, col)
+                p.fail(str(e), at)
         elif word == "assert":
-            kw = lx.expect("id", "'terminating'")
-            if kw[1] != "terminating":
-                raise ParseError("only 'assert terminating.' is supported",
-                                 kw[2], kw[3])
+            if p.expect("id", "'terminating'") != "terminating":
+                p.fail("only 'assert terminating.' is supported", at + 1)
             asserted = True
         else:
-            raise ParseError(f"unknown declaration {word!r}", line, col)
-        lx.expect("dot", "'.'")
+            p.fail(f"unknown declaration {word!r}", at)
+        p.expect("dot", "'.'")
 
     rs = RewriteSystem(rules, asserted_terminating=asserted)
     try:
         return Theory(
-            name, sig or _signature(sorts, functions, predicates, uses), rs)
+            name, sig or _signature(p, sorts, functions, predicates, uses), rs)
     except TheoryError as e:
         raise ParseError(str(e), 1, 1)
 
 
-def _new_symbol(lx: _Lexer, what: str, functions, predicates) -> str:
+def _new_symbol(p: _Parser, what: str, functions, predicates) -> str:
     """The name a func or pred declaration declares; functions and
     predicates share one namespace, and a name is declared once."""
-    _, name, line, col = lx.expect("id", what)
+    at = p.i
+    name = p.expect("id", what)
     if not valid_ident(name):
-        raise ParseError(f"illegal or reserved identifier {name!r}", line, col)
+        p.fail(f"illegal or reserved identifier {name!r}", at)
     if name in functions or name in predicates:
-        raise ParseError(f"symbol {name!r} is already declared", line, col)
+        p.fail(f"symbol {name!r} is already declared", at)
     return name
 
 
-def _signature(sorts, functions, predicates, uses) -> Signature:
+def _signature(p: _Parser, sorts, functions, predicates, uses) -> Signature:
     """The signature declared so far; a sort named but not declared is
     refused where it is named."""
-    for symbol, (_, sort, line, col) in uses:
-        if sort not in sorts:
-            raise ParseError(f"{symbol}: undeclared sort {sort!r}", line, col)
+    for symbol, at in uses:
+        if p.toks[at] not in sorts:
+            p.fail(f"{symbol}: undeclared sort {p.toks[at]!r}", at)
     return make_signature(sorts, functions, predicates)
 
 
 def _rule_side(p: _Parser, expected) -> Node:
-    kind, value, line, col = p.lx.peek()
-    head = p.lx.peek(1)[1] if kind == "lp" else value
+    tok = p.toks[p.i]
+    head = p.toks[p.i + 1] if tok == "(" else tok
     if head in p.sig.predicates:
         return p.prop()
     if head in p.sig.functions:
         return p.term(expected)
-    raise ParseError(f"unknown symbol {head!r} in rule", line, col)
+    p.fail(f"unknown symbol {head!r} in rule", p.i)
 
 
 # ---------------------------------------------------------------------------

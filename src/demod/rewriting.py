@@ -103,6 +103,7 @@ def match_pattern(pattern: Node, subject: Node) -> Optional[Subst]:
 # matcher code by its source, which names no symbol: left-hand sides of
 # one shape, as a theory file's definitions often are, compile once
 _CODE: dict = {}
+_CODE_SIZE = 1024   # most shapes it holds; it is cleared when full
 
 
 def _compile(pattern: Node):
@@ -130,6 +131,8 @@ def _compile(pattern: Node):
     binds = ", ".join(f"v{i}: {t}" for i, t in enumerate(first.values()))
     source = f"lambda t: {{{binds}}} if {' and '.join(tests)} else None"
     if source not in _CODE:
+        if len(_CODE) >= _CODE_SIZE:
+            _CODE.clear()
         _CODE[source] = compile(source, "<matcher>", "eval")
     object.__setattr__(pattern, "_matcher", eval(_CODE[source], env))
     return pattern._matcher

@@ -1,6 +1,6 @@
 """The benchmark's smoke mode: one job per family of every workload,
-judged by its oracle.  The work counters of one traced pass of the
-search and of the narrow workload.  And ``tools/ab_timing.py --counts``
+judged by its oracle.  The work counters of one traced pass of each
+workload.  And ``tools/ab_timing.py --counts``
 on this checkout against itself."""
 
 import contextlib
@@ -115,6 +115,19 @@ def test_traced_narrow_pass_work(tmp_path):
     assert m["prover.nodes"] == 6
     assert m["rewriting.normalize_calls"] <= 13335
     assert m["syntax.apply_subst_calls"] <= 81022
+
+
+def test_traced_check_pass_work(tmp_path):
+    # The check pass is pinned: the same parses, proof checks, cut
+    # reductions, rewrite steps, matches and rules validated, so a
+    # faster parser shows that it does the same work.
+    m = traced_pass_metrics("check", tmp_path / "pass")
+    assert m["parsing.calls"] == 214
+    assert (m["kernel.check_calls"], m["kernel.proof_nodes"],
+            m["kernel.reduce_cut_calls"]) == (70, 2055, 1204)
+    assert m["rewriting.steps"] == 2484
+    assert m["rewriting.match_calls"] == 4790
+    assert m["theories.rules_validated"] == 712
 
 
 def test_ab_timing_counts_against_itself():

@@ -19,6 +19,7 @@ from demod import (
     And, App, Atom, BOT, ForAll, Hole, Imp, TOP, Var, load_builtin,
     match_pattern, normalize,
 )
+from demod import rewriting
 from demod.parsing import parse_node, parse_theory
 from demod.syntax import is_term, positions, replace_at
 
@@ -231,6 +232,32 @@ def test_one_shape_shares_code_not_constants():
     assert match_pattern(q, subject) == {Var("y", "elem"): App("0")}
     assert p._matcher.__code__ is q._matcher.__code__
     assert p._matcher is not q._matcher
+
+
+def spine(n):
+    """A left-hand side whose shape spells n in binary, down a chain of
+    11 nodes: unary for a 0 bit, binary for a 1; 2 048 shapes."""
+    node = Var("x", "nat")
+    for i in range(11):
+        node = App("f", (node, Var(f"y{i}", "nat")) if n >> i & 1
+                   else (node,))
+    return node
+
+
+def test_code_table_stays_bounded():
+    # more shapes than the table holds: it is cleared when full, and the
+    # matchers made on either side of a clearing still agree
+    rng = random.Random(11)
+    size = rewriting._CODE_SIZE
+    sizes = []
+    for n in range(size + 100):
+        pattern = spine(n)
+        subject, spots = instance(rng, pattern)
+        assert agree(pattern, subject)
+        agree(pattern, mutate(rng, subject, spots))
+        sizes.append(len(rewriting._CODE))
+    assert max(sizes) <= size
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))
 
 
 def test_matcher_is_made_once_per_pattern(addition):

@@ -1,9 +1,10 @@
 import pytest
 
 from demod import (
-    And, App, Atom, ParseError, Sequent, TOP, load_builtin, print_node,
+    And, App, Atom, ParseError, Sequent, TOP, Var, load_builtin, print_node,
     print_prop,
 )
+from demod import parsing
 from demod.parsing import (
     parse_node, parse_proof, parse_prop, parse_sequent, parse_theory,
     print_proof,
@@ -175,3 +176,22 @@ class TestTheoryFiles:
         with pytest.raises(ParseError) as e:
             parse_theory("sort i.\nwat.\n")
         assert e.value.line == 2
+
+    def test_rule_variables_are_the_rules_own(self):
+        # one name at a different sort in each of two rules of one file
+        text = ("sort a.\nsort b.\nfunc f : a -> a.\nfunc g : b -> b.\n"
+                "rule r1: (f x) ~> x.\nrule r2: (g x) ~> x.\n")
+        r1, r2 = parse_theory(text).system.rules
+        assert (r1.rhs, r2.rhs) == (Var("x", "a"), Var("x", "b"))
+
+    def test_one_parser_per_file(self, monkeypatch):
+        # every declaration and rule is read by one parser, which lexes
+        # the file once
+        made = []
+        init = parsing._Parser.__init__
+        monkeypatch.setattr(
+            parsing._Parser, "__init__",
+            lambda p, *args: made.append(args) or init(p, *args))
+        text = THEORY_TEXT + "sort i.\nfunc c : i.\nrule r: c ~> c.\n"
+        parse_theory(text)
+        assert made == [(text, None)]

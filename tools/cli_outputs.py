@@ -1,13 +1,19 @@
 """Record what ``demod.cli.main`` prints for every job of the usual
-benchmark passes, so that two checkouts compare with ``diff``.
+benchmark passes, and for a fixed set of malformed inputs, so that two
+checkouts compare with ``diff``.
 
     python3 tools/cli_outputs.py OUT
 
 The passes are (seed 1, pass 0) and (seed 2, pass 1) of the search,
 narrow and check workloads, built by ``perfbench/run.py``'s
 ``build_pass`` and run in this process, one after the other, as the
-benchmark runs them.  For each job OUT gets its argv (paths relative to
-the inputs directory), its exit code, its stdout and its stderr.
+benchmark runs them.  The malformed inputs are seeded byte-level
+mutations of the corpus files and of a few terms: each theory goes
+through ``validate``, each proof and goal through ``check`` next to
+the unchanged other file, each term through ``normalize``.  Most of
+them are parse errors, so the located error messages are compared too.
+For each job OUT gets its argv (paths relative to the inputs
+directory), its exit code, its stdout and its stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import random
 import shutil
 import sys
 
@@ -24,6 +31,14 @@ import run  # noqa: E402  (perfbench/run.py)
 
 WORKLOADS = ("search", "narrow", "check")
 PASSES = ((1, 0), (2, 1))   # (seed, pass index)
+
+# mutated copies of each corpus file and term; the characters inserted
+# are the token characters, and '@', which no token accepts
+MUTANTS = 8
+ALPHABET = "()~>-|:., \nxS0_'?+*=\r\t#\"@"
+PROOFS = {"crabbe_q": "corpus/crabbe.thy", "identity": "builtin:empty"}
+TERMS = ("(plus (S (S 0)) (S 0))", "(P (plus (S x) (S 0)))",
+         "(forall (x : nat) (imp (P x) (P (plus 0 x))))")
 
 
 def record(main, argv, prefix: str) -> str:
@@ -36,6 +51,50 @@ def record(main, argv, prefix: str) -> str:
     shown = " ".join(a.replace(prefix, "") for a in argv)
     return (f"argv: {shown}\n{status}\n--- stdout\n{out.getvalue()}"
             f"--- stderr\n{err.getvalue()}")
+
+
+def mutant(rng, text: str) -> str:
+    """`text` after one to three edits: an insertion, a deletion or a
+    cut."""
+    for _ in range(rng.randrange(1, 4)):
+        at = rng.randrange(len(text) + 1)
+        how = rng.randrange(3)
+        if how == 0:
+            text = text[:at] + rng.choice(ALPHABET) + text[at:]
+        elif how == 1:
+            text = text[:at] + text[at + rng.randrange(1, 9):]
+        else:
+            text = text[:at]
+    return text
+
+
+def malformed_jobs(directory: str) -> list[list[str]]:
+    """The argv of each malformed-input job; its files go to
+    `directory`, named relative to the root as ``build_pass`` names
+    them."""
+    rng = random.Random("cli-outputs malformed")
+    d = os.path.relpath(directory, ROOT)
+    jobs = []
+    for name in sorted(os.listdir("corpus")):
+        stem, ext = os.path.splitext(name)
+        with open(os.path.join("corpus", name)) as f:
+            text = f.read()
+        for k in range(MUTANTS):
+            path = os.path.join(d, f"m{k}-{name}")
+            with open(path, "w") as f:
+                f.write(mutant(rng, text))
+            if ext == ".thy":
+                jobs.append(["validate", path])
+            elif ext == ".prf":
+                jobs.append(["check", PROOFS[stem], path,
+                             f"corpus/{stem}.goal"])
+            else:
+                jobs.append(["check", PROOFS[stem], f"corpus/{stem}.prf",
+                             path])
+    for term in TERMS:
+        jobs += [["normalize", "builtin:addition", mutant(rng, term)]
+                 for _ in range(MUTANTS)]
+    return jobs
 
 
 def main(argv) -> int:
@@ -57,6 +116,10 @@ def main(argv) -> int:
                         f.write(f"=== {workload} seed {seed} pass {index}\n")
                         f.write(record(demod.cli.main, job.argv, prefix))
                         jobs += 1
+            for job in malformed_jobs(directory):
+                f.write("=== malformed\n")
+                f.write(record(demod.cli.main, job, prefix))
+                jobs += 1
     finally:
         shutil.rmtree(directory, ignore_errors=True)
     print(f"{jobs} jobs written to {out_path}")
