@@ -12,7 +12,7 @@ conclusion annotation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from operator import is_not
 from typing import Optional
 
@@ -99,8 +99,14 @@ class Proof:
             raise ProofError(
                 f"{self.tag} expects {want} subproofs, got {len(self.children)}")
 
-    def with_conclusion(self, c: Proposition) -> "Proof":
-        return dc_replace(self, conclusion=c)
+    def copy_with(self, **changes) -> "Proof":
+        """This node with ``changes`` to its fields, built directly; it is
+        checked again when the children change."""
+        new = object.__new__(Proof)
+        new.__dict__.update(self.__dict__, **changes)
+        if "children" in changes:
+            new.__post_init__()
+        return new
 
 
 @dataclass(frozen=True)
@@ -223,11 +229,11 @@ def _check(ss: _Session, ctx: dict, p: Proof, goal: Proposition,
         if not ss.congruent(c, goal):
             _fail(path, f"concluded {print_prop(c)}, which is not congruent "
                         f"to {print_prop(goal)}")
-        return p2.with_conclusion(goal)
+        return p2.copy_with(conclusion=goal)
 
     if tag == "bot_e":
         child = _check(ss, ctx, p.children[0], BOT, path + (0,))
-        return dc_replace(p, children=(child,), conclusion=goal)
+        return p.copy_with(children=(child,), conclusion=goal)
 
     if tag == "or_e":
         major, _, g = _major(ss, ctx, p, path, Or, "a disjunction")
@@ -237,7 +243,7 @@ def _check(ss: _Session, ctx: dict, p: Proof, goal: Proposition,
                     goal, path + (1,))
         b2 = _check(ss, _bind(ctx, p.label2, g.right), p.children[2],
                     goal, path + (2,))
-        return dc_replace(p, children=(major, b1, b2), conclusion=goal)
+        return p.copy_with(children=(major, b1, b2), conclusion=goal)
 
     if tag == "exists_e":
         major, c, g = _major(ss, ctx, p, path, Exists, "an existential")
@@ -251,28 +257,28 @@ def _check(ss: _Session, ctx: dict, p: Proof, goal: Proposition,
         inst = apply_subst({g.var: y}, g.body)
         body = _check(ss, _bind(ctx, p.label, inst), p.children[1],
                       goal, path + (1,))
-        return dc_replace(p, children=(major, body), eigen=y, conclusion=goal)
+        return p.copy_with(children=(major, body), eigen=y, conclusion=goal)
 
     # introduction rules: decompose the exposed goal
     g = ss.expose(goal)
     if tag in _INTRODUCES and not isinstance(g, _INTRODUCES[tag]):
         _fail(path, f"{tag} cannot prove {print_prop(goal)}")
     if tag == "top_i":
-        return p.with_conclusion(goal)
+        return p.copy_with(conclusion=goal)
     if tag == "and_i":
         l = _check(ss, ctx, p.children[0], g.left, path + (0,))
         r = _check(ss, ctx, p.children[1], g.right, path + (1,))
-        return dc_replace(p, children=(l, r), conclusion=goal)
+        return p.copy_with(children=(l, r), conclusion=goal)
     if tag in ("or_i1", "or_i2"):
         side = g.left if tag == "or_i1" else g.right
         c = _check(ss, ctx, p.children[0], side, path + (0,))
-        return dc_replace(p, children=(c,), conclusion=goal)
+        return p.copy_with(children=(c,), conclusion=goal)
     if tag == "imp_i":
         if p.label is None:
             _fail(path, "imp_i needs a hypothesis label")
         c = _check(ss, _bind(ctx, p.label, g.left), p.children[0],
                    g.right, path + (0,))
-        return dc_replace(p, children=(c,), conclusion=goal)
+        return p.copy_with(children=(c,), conclusion=goal)
     if tag == "forall_i":
         y = p.eigen if p.eigen is not None else g.var
         if y.sort != g.var.sort:
@@ -281,13 +287,13 @@ def _check(ss: _Session, ctx: dict, p: Proof, goal: Proposition,
         _eigen_fresh(ctx, (goal,), y, path)
         c = _check(ss, ctx, p.children[0],
                    apply_subst({g.var: y}, g.body), path + (0,))
-        return dc_replace(p, children=(c,), eigen=y, conclusion=goal)
+        return p.copy_with(children=(c,), eigen=y, conclusion=goal)
     if tag == "exists_i":
         if p.witness is None:
             _fail(path, "exists_i needs a witness term")
         c = _check(ss, ctx, p.children[0],
                    apply_subst({g.var: p.witness}, g.body), path + (0,))
-        return dc_replace(p, children=(c,), conclusion=goal)
+        return p.copy_with(children=(c,), conclusion=goal)
     _fail(path, f"rule {tag} cannot occur here")
 
 
@@ -298,22 +304,22 @@ def _infer(ss: _Session, ctx: dict, p: Proof,
         if p.label not in ctx:
             _fail(path, f"no hypothesis labelled {p.label!r}")
         c = ctx[p.label]
-        return p.with_conclusion(c), c
+        return p.copy_with(conclusion=c), c
     if tag == "and_e1" or tag == "and_e2":
         major, _, g = _major(ss, ctx, p, path, And, "a conjunction")
         out = g.left if tag == "and_e1" else g.right
-        return dc_replace(p, children=(major,), conclusion=out), out
+        return p.copy_with(children=(major,), conclusion=out), out
     if tag == "imp_e":
         major, _, g = _major(ss, ctx, p, path, Imp, "an implication")
         minor = _check(ss, ctx, p.children[1], g.left, path + (1,))
-        return dc_replace(p, children=(major, minor),
-                          conclusion=g.right), g.right
+        return p.copy_with(children=(major, minor),
+                           conclusion=g.right), g.right
     if tag == "forall_e":
         major, _, g = _major(ss, ctx, p, path, ForAll, "a universal")
         if p.witness is None:
             _fail(path, "forall_e needs a witness term")
         out = apply_subst({g.var: p.witness}, g.body)
-        return dc_replace(p, children=(major,), conclusion=out), out
+        return p.copy_with(children=(major,), conclusion=out), out
     # introductions, or_e, exists_e, bot_e: only with a stated conclusion
     if p.conclusion is not None:
         p2 = _check(ss, ctx, p, p.conclusion, path)
@@ -414,7 +420,7 @@ def _subst_hyp(q: Proof, label: str, repl: Proof, repl_free: frozenset,
     if q.tag == "axiom":
         if q.label != label:
             return q
-        return dc_replace(q, label=repl.label) if rename else repl
+        return q.copy_with(label=repl.label) if rename else repl
     clash = _binders(q) & repl_free
     if clash:
         q = _rename_binders(q, clash)
@@ -424,7 +430,7 @@ def _subst_hyp(q: Proof, label: str, repl: Proof, repl_free: frozenset,
             kids.append(c)  # shadowed: leave untouched
         else:
             kids.append(_subst_hyp(c, label, repl, repl_free, rename))
-    return dc_replace(q, children=tuple(kids))
+    return q.copy_with(children=tuple(kids))
 
 
 def _rename_binders(q: Proof, clash: set) -> Proof:
@@ -472,9 +478,8 @@ def subst_terms_in_proof(s: Subst, p: Proof, avoid=None) -> Proof:
             y2 = fresh_var(p.eigen, inserted | _proof_var_names(p) | avoid)
             avoid.add(y2.name)
             inner[p.eigen] = y2
-            p = dc_replace(p, eigen=y2)
-    return dc_replace(
-        p,
+            p = p.copy_with(eigen=y2)
+    return p.copy_with(
         children=tuple(
             subst_terms_in_proof(inner if "eigen" in fields else s, c, avoid)
             for c, fields in zip(p.children, _BOUND_IN[p.tag])),
@@ -493,7 +498,7 @@ def _replace_subproof(p: Proof, pos: Position, new: Proof) -> Proof:
         return new
     kids = list(p.children)
     kids[pos[0]] = _replace_subproof(kids[pos[0]], pos[1:], new)
-    return dc_replace(p, children=tuple(kids))
+    return p.copy_with(children=tuple(kids))
 
 
 def reduce_cut(proof: Proof, position: Position, avoid=None) -> Proof:
@@ -582,7 +587,7 @@ def _normal_form(p: Proof, steps: list, fuel: int, avoid: set) -> Proof:
         kids = tuple([_normal_form(c, steps, fuel, avoid)
                       for c in p.children])
         if any(map(is_not, kids, p.children)):
-            p = dc_replace(p, children=kids)
+            p = p.copy_with(children=kids)
         majors = CUT_PAIRS.get(p.tag)
         if majors is None or p.children[0].tag not in majors:
             return p

@@ -11,7 +11,7 @@ a bound is decidable; exploration is leftmost-first and deterministic.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from operator import is_
 from typing import Iterator, Optional
 
@@ -332,7 +332,7 @@ def _resolve_metas(p: Proof, s: Subst, leftovers: Subst, start: int) -> Proof:
     kids = tuple([_resolve_metas(c, s, leftovers, start) for c in p.children])
     if witness is p.witness and all(map(is_, kids, p.children)):
         return p
-    return dc_replace(p, witness=witness, children=kids)
+    return p.copy_with(witness=witness, children=kids)
 
 
 def search_proof(theory: Theory, goal: Sequent, depth: int = 8,

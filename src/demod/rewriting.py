@@ -170,8 +170,9 @@ class NormalForm:
     steps: int
 
 
-def normalize(rs: RewriteSystem, x: Node,
-              fuel: int = DEFAULT_FUEL) -> NormalForm:
+def normalize(rs: RewriteSystem, x: Node, fuel: int = DEFAULT_FUEL,
+              u: Optional[Subst] = None, pos: Optional[Position] = None,
+              rhs: Optional[Node] = None) -> NormalForm:
     """Leftmost-innermost rewriting to normal form, in one bottom-up
     pass, one Python frame per term level: the children, left to right,
     then the root; a root step goes on with the rule's rhs under the
@@ -179,12 +180,17 @@ def normalize(rs: RewriteSystem, x: Node,
     node whose children come back unchanged is returned as the same
     object.  Raises FuelExhausted when the step budget runs out -- a
     possibly non-terminating system, never silently a normal form -- or
-    when the term outgrows the recursion limit."""
+    when the term outgrows the recursion limit.  With ``u``, the same
+    for a normal term or atom ``x`` under ``u``, its subterm at ``pos``
+    replaced by ``rhs`` first, made in the same pass (``_nf_at``)."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     left = [fuel]   # steps still allowed
     try:
-        return NormalForm(_nf(x, None, rs.by_head, left), fuel - left[0])
+        if u is None:
+            return NormalForm(_nf(x, None, rs.by_head, left), fuel - left[0])
+        return NormalForm(_nf_at(x, u, rs.by_head, left, pos, rhs),
+                          fuel - left[0])
     except _Unwind as e:
         raise FuelExhausted(f"no normal form of {print_node(e.args[0])} "
                             f"within {fuel} steps", steps=fuel + 1) from None
@@ -235,6 +241,56 @@ def _nf(pattern: Node, s: Optional[Subst], by_head: dict, left: list) -> Node:
         pattern, s = rhs, match
         if not isinstance(rhs, (App, Atom)):
             pattern, s = apply_subst(match, rhs), None
+
+
+def _nf_at(t: Node, u: Subst, by_head: dict, left: list,
+           path: Optional[Position] = None, new: Optional[Node] = None) -> Node:
+    """``_nf`` of ``t`` under ``u``, its subterm at ``path`` replaced by
+    ``new`` first.  ``t`` is normal: a subterm of it that comes back as
+    the same object is not tested again.  A ``path`` of () marks a term
+    that is not: ``new``, or a subterm of it."""
+    if path == () and new is not None:
+        t, new = new, None
+    if isinstance(t, Var):
+        t = u.get(t, t)
+        return t if isinstance(t, Var) else _nf(t, None, by_head, left)
+    if isinstance(t, Hole):
+        return t
+    kids = t.args
+    done = []
+    below = () if path == () else None
+    try:
+        for i, k in enumerate(kids):
+            if path and path[0] == i:
+                done.append(_nf_at(k, u, by_head, left, path[1:], new))
+            elif isinstance(k, Var):
+                k = u.get(k, k)
+                done.append(k if isinstance(k, Var)
+                            else _nf(k, None, by_head, left))
+            else:
+                done.append(_nf_at(k, u, by_head, left, below))
+    except _Unwind as e:
+        if path:
+            kids = children(replace_at(t, path, new))
+        rest = tuple(apply_subst(u, k) for k in kids[len(done) + 1:])
+        e.args = (with_children(t, (*done, *e.args, *rest)),)
+        raise
+    if done and any(map(is_not, done, kids)):
+        t = with_children(t, tuple(done))
+    elif path != ():
+        return t   # a normal subterm, unchanged
+    for rule in by_head.get(_head(t), ()):
+        match = match_pattern(rule.lhs, t)
+        if match is not None:
+            break
+    else:
+        return t
+    left[0] -= 1
+    rhs = rule.rhs
+    if left[0] < 0:
+        raise _Unwind(apply_subst(match, rhs))
+    return match[rhs] if isinstance(rhs, Var) else _nf(rhs, match, by_head,
+                                                        left)
 
 
 # ---------------------------------------------------------------------------

@@ -29,27 +29,40 @@ from .syntax import (
 def unify_pairs(pairs) -> Optional[Subst]:
     """Most general unifier of all pairs, or None.  The worklist is a
     stack; ``s`` stays idempotent, a side is looked up in it at its root
-    and substituted in full only when it is bound."""
+    and substituted in full only when it is bound.  Until a variable
+    bound, or a variable in a term bound to one, was met before, ``met``
+    holds the variables met: then no side is bound, no binding needs the
+    occurs check or changes another, and none of that is done."""
     s: Subst = {}
+    met: Optional[set] = set()
     work = list(pairs)[::-1]
     while work:
-        l, r = work.pop()
-        if isinstance(l, Var):
-            l = s.get(l, l)
-        if isinstance(r, Var):
-            r = s.get(r, r)
+        l, r = pair = work.pop()
+        if met is None:
+            if isinstance(l, Var):
+                l = s.get(l, l)
+            if isinstance(r, Var):
+                r = s.get(r, r)
         if isinstance(r, Var) and not isinstance(l, Var):
             l, r = r, l
         if isinstance(l, Var):
+            if met is not None:
+                first = l not in met
+                met.add(l)
+                if not (first and _meet(r, met)):
+                    work.append(pair)   # again, looked up
+                    met = None
+                    continue
             if l == r:
                 continue
             if not is_term(r) or isinstance(r, Var) and r.sort != l.sort:
                 return None
-            r = apply_subst(s, r)
-            if _occurs(l, r):
-                return None
-            for v, t in s.items():
-                s[v] = apply_subst({l: r}, t)
+            if met is None:
+                r = apply_subst(s, r)
+                if not _meet(r, {l}):
+                    return None   # l occurs in r
+                for v, t in s.items():
+                    s[v] = apply_subst({l: r}, t)
             s[l] = r
         elif (isinstance(l, App) and isinstance(r, App) and l.fn == r.fn
               or isinstance(l, Atom) and isinstance(r, Atom)
@@ -60,22 +73,26 @@ def unify_pairs(pairs) -> Optional[Subst]:
     return s
 
 
-def _occurs(v: Var, t: Node) -> bool:
-    todo = [t]
-    while todo:
-        x = todo.pop()
-        if isinstance(x, App):
-            todo.extend(x.args)
-        elif x == v:
-            return True
-    return False
-
-
 def unify_syntactic(a: Node, b: Node) -> Optional[Subst]:
     """Most general unifier of two terms or two atoms, or None."""
     if isinstance(a, Atom) != isinstance(b, Atom):
         return None
     return unify_pairs([(a, b)])
+
+
+def _meet(t: Node, met: set) -> bool:
+    """Add the variables of ``t`` to ``met``; False if one is there."""
+    todo, new = [t], []
+    while todo:
+        x = todo.pop()
+        if isinstance(x, App):
+            todo.extend(x.args)
+        elif isinstance(x, Var):
+            if x in met:
+                return False
+            new.append(x)
+    met.update(new)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +200,13 @@ def _key_walk(t: Term, names: dict, out: list) -> None:
         out.append(")")
 
 
-def _norm(rs: RewriteSystem, t: Node, fuel: int) -> Node:
-    return normalize(rs, t, fuel).value if rs.convergent else t
+def _norm(rs: RewriteSystem, t: Node, fuel: int, u: Optional[Subst] = None,
+          pos=None, rhs=None) -> Node:
+    """``t`` under ``u``, its subterm at ``pos`` replaced by ``rhs`` first,
+    normalized when the system is convergent; ``t`` is normal then."""
+    if rs.convergent:
+        return normalize(rs, t, fuel, u, pos, rhs).value
+    return apply_subst(u, t if pos is None else replace_at(t, pos, rhs))
 
 
 def narrow_unify(problem: UnificationProblem, depth: int = 8,
@@ -193,16 +215,17 @@ def narrow_unify(problem: UnificationProblem, depth: int = 8,
 
     Every emitted substitution is verified against the congruence before
     emission; duplicates modulo variable renaming are removed.  Once per
-    expanded state, its pairs are unified and the rules renamed apart
-    from its variables.  Every side of a state is normal, and a step
-    normalizes only the sides it changes.  A state keeps the bindings of
-    the problem's variables only: nothing else reaches its key or a
-    solution.  A state at the depth bound is never queued but unified as
-    it is made; one that unifies is kept and emitted after the queue
-    empties, in the order the queue would have popped it.  While the
-    stream is complete such a state is deduplicated and asked whether a
-    step leaves it: if one does, ``complete`` turns False, as it does when
-    the cap is reached or verifying a solution runs out of fuel."""
+    expanded state, its pairs are unified; the rules are renamed apart
+    from its variables once per set of their names in a call.  Every
+    side of a state is normal, and a step normalizes only the sides it
+    changes.  A state keeps the bindings of the problem's variables
+    only: nothing else reaches its key or a solution.  A state at the
+    depth bound is never queued but unified as it is made; one that
+    unifies is kept and emitted after the queue empties, in the order
+    the queue would have popped it.  While the stream is complete such
+    a state is deduplicated and asked whether a step leaves it: if one
+    does, ``complete`` turns False, as it does when the cap is reached
+    or verifying a solution runs out of fuel."""
     if depth <= 0 or cap <= 0:
         raise ValueError("bounds must be positive")
     rs = problem.system
@@ -239,6 +262,7 @@ def narrow_unify(problem: UnificationProblem, depth: int = 8,
     queue: deque[tuple[tuple, Subst, int]] = deque([(start, {}, 0)])
     seen_states = {state_key(start, {})}
     at_bound: list[tuple[Subst, Subst, Subst]] = []   # (acc, u, mgu)
+    renamed: dict = {}   # (rule name, names to avoid) -> renamed rule
     while queue:
         pairs, acc, d = queue.popleft()
         mgu = unify_pairs(pairs)
@@ -247,12 +271,13 @@ def narrow_unify(problem: UnificationProblem, depth: int = 8,
         # expand: one narrowing step at any non-variable position
         below = d + 1 < depth
         sides = [(t, free_vars(t)) for pair in pairs for t in pair]
-        for k, pos, rhs, u in _narrowing_steps(rs.by_head, sides):
-            # side k narrowed and each side u instantiates, normalized
-            # once; a side with no variable that u binds is kept as it is
-            new = [t if j != k and vs.isdisjoint(u) else _norm(rs, apply_subst(
-                u, replace_at(t, pos, rhs) if j == k else t), fuel)
-                for j, (t, vs) in enumerate(sides)]
+        for k, pos, rhs, u in _narrowing_steps(rs, sides, renamed):
+            # side k narrowed and each side u instantiates, each made and
+            # normalized in one walk; a side with no variable that u
+            # binds is kept as it is
+            new = [_norm(rs, t, fuel, u, pos, rhs) if j == k
+                   else t if vs.isdisjoint(u) else _norm(rs, t, fuel, u)
+                   for j, (t, vs) in enumerate(sides)]
             normed = tuple(zip(new[0::2], new[1::2]))
             if below or complete:
                 acc2 = compose(acc, u, problem_vars)
@@ -267,7 +292,7 @@ def narrow_unify(problem: UnificationProblem, depth: int = 8,
             if last is not None:
                 at_bound.append((acc, u, last))
             if complete and next(_narrowing_steps(
-                    rs.by_head, [(t, free_vars(t)) for t in new]), None):
+                    rs, [(t, free_vars(t)) for t in new], renamed), None):
                 complete = False
     else:   # the queue emptied below the cap
         for acc, u, mgu in at_bound:
@@ -277,24 +302,30 @@ def narrow_unify(problem: UnificationProblem, depth: int = 8,
     return SolutionStream(tuple(solutions), complete and len(solutions) < cap)
 
 
-def _narrowing_steps(by_head, sides):
+def _narrowing_steps(rs: RewriteSystem, sides, renamed):
     """Every way to unify a term rule's lhs with a non-variable subterm of
     a side with the same head, in the order of sides, positions and
     rules: (side index, position, renamed rhs, unifier).  ``sides`` are
     the terms of the pair list, each with its free variables.  A rule is
-    renamed apart from them when it first meets such a subterm."""
-    avoid = {v.name for _, vs in sides for v in vs}
-    renamed = {}
-    for k, (tree, _) in enumerate(sides):
+    renamed apart from their names when it first meets such a subterm,
+    and kept in ``renamed`` for the next state with those names.  Under a
+    convergent system every side is normal, and one with no variable is
+    skipped: it unifies with a lhs only by matching it, as a redex."""
+    avoid = frozenset(v.name for _, vs in sides for v in vs)
+    by_head = rs.by_head
+    for k, (tree, vs) in enumerate(sides):
+        if not vs and rs.convergent:
+            continue
         for pos, node in positions(tree):
             if not isinstance(node, App):
                 continue
             for rule in by_head.get(node.fn, ()):
                 if not rule.is_term_rule:
                     continue
-                ren = renamed.get(rule.name)
+                ren = renamed.get((rule.name, avoid))
                 if ren is None:
-                    ren = renamed[rule.name] = _rename_apart(rule, avoid)
+                    ren = _rename_apart(rule, avoid)
+                    renamed[rule.name, avoid] = ren
                 u = unify_syntactic(node, ren.lhs)
                 if u is not None:
                     yield k, pos, ren.rhs, u

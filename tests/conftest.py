@@ -148,6 +148,27 @@ def assoc():
     return load_builtin("assoc")
 
 
+# addition with multiplication by recursion on its first argument
+MULT_THEORY = """\
+sort nat.
+func 0 : nat.
+func S : nat -> nat.
+func plus : nat nat -> nat.
+func mult : nat nat -> nat.
+pred P : nat.
+rule add0: (plus 0 y) ~> y.
+rule addS: (plus (S x) y) ~> (S (plus x y)).
+rule mul0: (mult 0 y) ~> 0.
+rule mulS: (mult (S x) y) ~> (plus y (mult x y)).
+"""
+
+
+@pytest.fixture
+def mult():
+    from demod.parsing import parse_theory
+    return parse_theory(MULT_THEORY, "mult")
+
+
 @pytest.fixture
 def crabbe():
     return load_builtin("crabbe")

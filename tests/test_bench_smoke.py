@@ -106,14 +106,20 @@ def test_traced_narrow_pass_work(tmp_path):
     # to 17 467, and from 575 rewrite steps to 413 (3 for each assoc
     # validation).  Matching is pinned too, at 102 013 ``match_pattern``
     # calls with 413 hits, so generated matchers are reached through it.
+    # Under a convergent system a side with no variable is normal, and
+    # a lhs unifies with it only by matching a redex, so narrowing no
+    # longer tries it: the 4 244 tries on such sides, which all failed,
+    # took the unifications from 17 467 to 13 223.  A narrowed side is
+    # made and normalized in one walk inside ``normalize``: exactly the
+    # 13 227 calls, so a walk outside it fails here.
     m = traced_pass_metrics("narrow", tmp_path / "pass")
     assert (m["unification.narrow_calls"], m["unification.unify_calls"],
-            m["unification.solutions"]) == (79, 17467, 97)
+            m["unification.solutions"]) == (79, 13223, 97)
     assert m["rewriting.steps"] == 413
     assert m["rewriting.match_calls"] == 102013
     assert m["rewriting.match_hit_ratio"] == pytest.approx(413 / 102013)
     assert m["prover.nodes"] == 6
-    assert m["rewriting.normalize_calls"] <= 13335
+    assert m["rewriting.normalize_calls"] == 13227
     assert m["syntax.apply_subst_calls"] <= 81022
 
 

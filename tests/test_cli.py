@@ -12,6 +12,8 @@ import pytest
 import demod
 from demod.cli import build_parser, main
 
+from conftest import MULT_THEORY
+
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
@@ -595,6 +597,23 @@ class TestFuelExhausted:
                    "y:nat", "--fuel", "1") == (2, (
                        "no normal form of (S (S (plus (S 0) x))) within 1 "
                        "steps\n#verdict: fuel-exhausted\n"), "")
+
+
+    # mult x (S (S 0)) narrows at mulS, and the narrowed side
+    # (plus (S (S 0)) (mult x_1 (S (S 0)))) is made and normalized in
+    # one walk: the message holds the whole term when fuel runs out there
+    @pytest.mark.parametrize("fuel,out", [
+        ("1", "no normal form of (S (S (plus 0 (mult x_1 (S (S 0))))))"
+              " within 1 steps\n#verdict: fuel-exhausted\n"),
+        ("2", "no normal form of (S (S (mult x_1 (S (S 0))))) within 2 "
+              "steps\n#verdict: fuel-exhausted\n"),
+        ("3", "complete: no\n#verdict: bound-exceeded\n"),
+    ], ids=["fuel-1", "fuel-2", "fuel-3"])
+    def test_unify_inside_a_narrowing_step(self, run, tmp_path, fuel, out):
+        thy = tmp_path / "mult.thy"
+        thy.write_text(MULT_THEORY)
+        assert run("unify", str(thy), "(mult x:nat (S (S 0)))",
+                   "(S (S (S (S 0))))", "--fuel", fuel) == (2, out, "")
 
 
 class TestDeepInputs:

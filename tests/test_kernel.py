@@ -211,6 +211,34 @@ class TestCutReduction:
             reduce_cut(r.proof, ())
 
 
+class TestProofCopies:
+    """``Proof.copy_with`` builds a copy without ``__init__``: the same
+    node ``dataclasses.replace`` made, and the same arity error when the
+    children change."""
+
+    def test_same_as_dataclasses_replace(self):
+        import dataclasses
+        a, b = Proof("axiom", label="h"), Proof("axiom", label="g")
+        p = Proof("and_i", (a, b), conclusion=Atom("P"))
+        for changes in ({"conclusion": TOP}, {"children": (b, a)},
+                        {"label": "k", "witness": App("0")}, {}):
+            got = p.copy_with(**changes)
+            assert got == dataclasses.replace(p, **changes)
+            assert got.__dict__ == dataclasses.replace(p, **changes).__dict__
+            assert got is not p
+        assert p == Proof("and_i", (a, b), conclusion=Atom("P"))
+
+    def test_children_keep_the_arity_error(self):
+        a = Proof("axiom", label="h")
+        p = Proof("and_i", (a, a))
+        with pytest.raises(ProofError,
+                           match="and_i expects 2 subproofs, got 1"):
+            p.copy_with(children=(a,))
+        with pytest.raises(ProofError,
+                           match="axiom expects 0 subproofs, got 1"):
+            a.copy_with(children=(a,), conclusion=TOP)
+
+
 LABELS = ("h", "g", "k")   # few names, so binders shadow and capture
 
 

@@ -1,15 +1,21 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from demod import (
-    App, Atom, FuelExhausted, Imp, RewriteRule, RewriteSystem, Var,
-    alpha_eq, check_local_confluence, check_nonconfusing,
+    App, Atom, FuelExhausted, Hole, Imp, RewriteRule, RewriteSystem, Var,
+    alpha_eq, apply_subst, check_local_confluence, check_nonconfusing,
     check_termination_lpo, congruent, congruent_detail, critical_pairs,
-    load_builtin, match_pattern, normalize, print_node, rewrite_positions,
+    free_vars, load_builtin, match_pattern, normalize, print_node,
+    rewrite_positions,
 )
 from demod.errors import RuleError
-from demod.parsing import parse_node
+from demod.parsing import parse_node, parse_theory
+from demod.syntax import positions, replace_at
+from demod.unification import _narrowing_steps
 
-from conftest import random_normal_form, random_term
+from conftest import MULT_THEORY, random_normal_form, random_term
 
 
 def nat(n):
@@ -242,3 +248,107 @@ class TestNonConfusing:
         # without the term rule nothing reaches both, but the criterion
         # still refuses two connectives on one predicate
         assert not check_nonconfusing(RewriteSystem(rs.rules[1:]))
+
+
+# ---------------------------------------------------------------------------
+# A narrowed side, made and normalized in one walk: ``normalize`` with a
+# substitution and a replaced position against normalizing the instance
+
+
+def outcome(rs, fuel, x, *instance):
+    """A normal form and its steps, or the FuelExhausted message and its
+    steps."""
+    try:
+        nf = normalize(rs, x, fuel, *instance)
+    except FuelExhausted as e:
+        return str(e), e.steps
+    return nf.value, nf.steps
+
+
+def instance_agrees(rs, t, u, pos=None, rhs=None):
+    """The one walk agrees with normalizing u(t[pos := rhs]) at every
+    fuel from 1 to one past the steps it takes."""
+    whole = apply_subst(u, t if pos is None else replace_at(t, pos, rhs))
+    steps = normalize(rs, whole).steps
+    for fuel in range(1, steps + 2):
+        assert outcome(rs, fuel, t, u, pos, rhs) == outcome(rs, fuel, whole), \
+            (print_node(t), u, pos, rhs, fuel)
+    return steps
+
+
+def instance_cases(rng, theory, sort):
+    """Normal sides with the narrowing steps ``_narrowing_steps`` finds
+    on them (tagged "step"), and with random substitutions and
+    replacements ("random"): a value or a replacement need not be
+    normal, and a side may be a variable."""
+    rs, sig = theory.system, theory.signature
+    pool = [Var(n, sort) for n in ("x", "y", "z")]
+    term = lambda depth: random_term(rng, sig, sort, depth, pool)
+    sides = [normalize(rs, term(rng.randrange(4))).value for _ in range(2)]
+    pairs = [(t, free_vars(t)) for t in sides]
+    for n, (k, pos, rhs, u) in enumerate(_narrowing_steps(rs, pairs, {})):
+        if n == 4:
+            break
+        yield "step", sides[k], u, pos, rhs
+        yield from (("step", t, u, None, None)
+                    for j, (t, vs) in enumerate(pairs)
+                    if j != k and not vs.isdisjoint(u))
+    for t in sides:
+        u = {v: term(rng.randrange(1, 5)) for v in pool
+             if rng.random() < 0.6}
+        yield "random", t, u, None, None
+        pos = rng.choice([p for p, _ in positions(t)])
+        yield "random", t, u, pos, term(rng.randrange(1, 5))
+
+
+THEORIES = [(load_builtin("addition"), "nat"), (load_builtin("assoc"), "elem"),
+            (parse_theory(MULT_THEORY, "mult"), "nat")]
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.integers(0, 2**32))
+def test_instance_normalization_agrees(seed):
+    rng = random.Random(seed)
+    theory, sort = rng.choice(THEORIES)
+    for _, t, u, pos, rhs in instance_cases(rng, theory, sort):
+        instance_agrees(theory.system, t, u, pos, rhs)
+
+
+def test_instance_cases_reach_steps_and_fuel():
+    # the property sees narrowing steps, replacements at the root and
+    # inside, variable sides, and instances that take several steps, so
+    # that fuel runs out inside a value, a replacement and the spine
+    seen = dict.fromkeys(("step", "root", "inner", "var side", "long"), 0)
+    for seed in range(300):
+        rng = random.Random(seed)
+        theory, sort = THEORIES[seed % 3]
+        for tag, t, u, pos, rhs in instance_cases(rng, theory, sort):
+            steps = instance_agrees(theory.system, t, u, pos, rhs)
+            seen["step"] += tag == "step"
+            seen["root"] += pos == ()
+            seen["inner"] += bool(pos)
+            seen["var side"] += isinstance(t, Var)
+            seen["long"] += steps >= 5
+    assert min(seen.values()) >= 20, seen
+
+
+def test_instance_normalization_of_a_narrowing_step(mult):
+    # mult x (S (S 0)) narrowed at mulS: fuel runs out inside the
+    # replaced position, whose term the message holds
+    rs = mult.system
+    t = parse_node("(mult x:nat (S (S 0)))", mult.signature)
+    [_, (k, pos, rhs, u)] = _narrowing_steps(rs, [(t, free_vars(t))], {})
+    assert outcome(rs, 1, t, u, pos, rhs) == (
+        "no normal form of (S (S (plus 0 (mult x_1 (S (S 0)))))) within 1 "
+        "steps", 2)
+    assert instance_agrees(rs, t, u, pos, rhs) == 3
+
+
+def test_instance_normalization_keeps_holes(addition):
+    # a hole is a leaf no rule matches, on the side and in a replacement
+    x, zero = Var("x", "nat"), App("0")
+    t = App("S", (App("plus", (Hole("nat"), x)),))
+    u = {x: App("plus", (zero, zero))}
+    for pos, rhs in ((None, None), ((0,), Hole("nat")),
+                     ((0, 0), App("plus", (zero, Hole("nat"))))):
+        instance_agrees(addition.system, t, u, pos, rhs)

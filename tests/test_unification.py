@@ -1,12 +1,17 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from demod import (
-    And, App, Atom, BOT, ForAll, Imp, TOP, UnificationProblem, Var,
-    alpha_eq, apply_subst, congruent, load_builtin, narrow_unify,
+    And, App, Atom, BOT, ForAll, Hole, Imp, TOP, UnificationProblem, Var,
+    alpha_eq, apply_subst, congruent, free_vars, load_builtin, narrow_unify,
     unify_syntactic,
 )
 from demod.cli import main
 from demod.parsing import parse_node, parse_theory
+from demod.syntax import is_term, positions, replace_at
+from demod.unification import unify_pairs
 
 from conftest import random_term
 
@@ -53,6 +58,161 @@ class TestSyntacticUnification:
             u = unify_syntactic(t, ground)
             assert u is not None
             assert apply_subst(u, t) == ground
+
+
+# ``unify_pairs`` binds a variable without looking it up, substituting
+# or checking that it occurs until some variable is met a second time,
+# and from there on goes on as ``reference_unify_pairs``, how it worked
+# before, does: the same unifier, with its keys in the same order, or
+# None from both; and ``unify_syntactic`` is ``unify_pairs`` of one pair.
+# Pairs are drawn over two sorts, of terms and of atoms: linear,
+# non-linear, sharing variables, with holes, with a variable against a
+# term that holds it, and with a variable against one of another sort.
+
+
+def reference_unify_pairs(pairs):
+    s = {}
+    work = list(pairs)[::-1]
+    while work:
+        l, r = work.pop()
+        if isinstance(l, Var):
+            l = s.get(l, l)
+        if isinstance(r, Var):
+            r = s.get(r, r)
+        if isinstance(r, Var) and not isinstance(l, Var):
+            l, r = r, l
+        if isinstance(l, Var):
+            if l == r:
+                continue
+            if not is_term(r) or isinstance(r, Var) and r.sort != l.sort:
+                return None
+            r = apply_subst(s, r)
+            if l in free_vars(r):
+                return None
+            for v, t in s.items():
+                s[v] = apply_subst({l: r}, t)
+            s[l] = r
+        elif (isinstance(l, App) and isinstance(r, App) and l.fn == r.fn
+              or isinstance(l, Atom) and isinstance(r, Atom)
+              and l.pred == r.pred) and len(l.args) == len(r.args):
+            work.extend(zip(reversed(l.args), reversed(r.args)))
+        elif l != r:
+            return None
+    return s
+
+
+SORTS = ("nat", "elem")
+ARITY = {"f": 2, "g": 1, "a": 0, "b": 0}
+
+
+def draw_term(rng, depth, pool):
+    """Variables from ``pool`` (non-linear), or fresh ones (None)."""
+    if depth <= 0 or rng.random() < 0.3:
+        if rng.random() < 0.1:
+            return Hole(rng.choice(SORTS))
+        if pool is None:
+            return Var(f"w{rng.randrange(10**6)}", rng.choice(SORTS))
+        return rng.choice(pool)
+    fn = rng.choice(list(ARITY))
+    return App(fn, tuple(draw_term(rng, depth - 1, pool)
+                         for _ in range(ARITY[fn])))
+
+
+def draw_pair(rng):
+    """How the pair was made, and the pair."""
+    pool = None if rng.random() < 0.4 else [
+        Var(n, rng.choice(SORTS)) for n in ("x", "y", "z")[:rng.randrange(1, 4)]]
+    a = draw_term(rng, 3, pool)
+    spots = [p for p, n in positions(a) if isinstance(n, Var)]
+    how = rng.choice(["other", "instance", "occurs", "sorts", "mirror"])
+    if how == "mirror":   # arguments reversed, variables renamed
+        b = apply_subst({v: rng.choice(pool or [v]) for v in free_vars(a)},
+                        _mirror(a))
+    elif how == "instance":
+        b = apply_subst({v: draw_term(rng, 2, pool) for v in free_vars(a)
+                         if rng.random() < 0.7}, a)
+    elif how == "occurs" and spots:   # a variable against a term holding it
+        p = rng.choice(spots)
+        b = replace_at(a, p, App("g", (App("f", (_at(a, p), App("a"))),)))
+    elif how == "sorts" and spots:   # a variable against one of another sort
+        p = rng.choice(spots)
+        v = _at(a, p)
+        b = replace_at(a, p, Var(f"w{rng.randrange(10)}",
+                                 SORTS[v.sort == SORTS[0]]))
+    else:   # another term, sharing the pool's variables or not
+        how = "other"
+        b = draw_term(rng, 3, pool if rng.random() < 0.5 else None)
+    if rng.random() < 0.5:
+        a, b = b, a
+    if rng.random() < 0.25:
+        a, b = Atom("P", (a, b)), Atom(rng.choice("PPQ"), (b, a))
+    elif rng.random() < 0.03:
+        a = Atom("P", (a,))
+    return how, a, b
+
+
+def _mirror(x):
+    if isinstance(x, App):
+        return App(x.fn, tuple(_mirror(c) for c in reversed(x.args)))
+    return x
+
+
+def _at(x, pos):
+    for i in pos:
+        x = x.args[i]
+    return x
+
+
+def agrees(*pairs):
+    want = reference_unify_pairs(pairs)
+    got = [unify_pairs(pairs)]
+    if len(pairs) == 1:
+        got.append(unify_syntactic(*pairs[0]))
+    for g in got:
+        assert g == want, pairs
+        if want is not None:
+            assert list(g) == list(want), pairs
+    return want
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(st.integers(0, 2**32))
+def test_unify_pairs_agrees_with_reference(seed):
+    rng = random.Random(seed)
+    pairs = [draw_pair(rng)[1:] for _ in range(4)]
+    for pair in pairs:
+        agrees(pair)
+    # lists of term pairs, whose variables meet across the pairs
+    agrees(*[(a, b) for a, b in pairs if not isinstance(a, Atom)])
+
+
+def test_unification_pairs_reach_every_case():
+    # solved and failed pairs of every kind, atom pairs, pairs whose
+    # variables repeat, and the occurs and sort failures they were made for
+    seen = {}
+    for seed in range(600):
+        rng = random.Random(seed)
+        for _ in range(4):
+            how, a, b = draw_pair(rng)
+            names = [n for x in (a, b) for _, n in positions(x)
+                     if isinstance(n, Var)]
+            key = (("how", how), ("ok", agrees((a, b)) is not None),
+                   ("atom", isinstance(a, Atom)),
+                   ("rep", len(names) != len(set(names))))
+            seen[key] = seen.get(key, 0) + 1
+
+    def count(**want):
+        return sum(n for key, n in seen.items()
+                   if want.items() <= dict(key).items())
+
+    for how in ("other", "instance", "mirror"):
+        assert count(how=how, ok=True) >= 30, seen
+        assert count(how=how, ok=False) >= 30, seen
+    assert count(how="occurs", ok=False) >= 100, seen
+    assert count(how="sorts", ok=False) >= 100, seen
+    assert count(atom=True, ok=True) >= 30, seen
+    assert count(rep=False, ok=True) >= 30, seen
+    assert count(rep=True, ok=True) >= 30, seen
 
 
 class TestProblemConstruction:

@@ -12,7 +12,12 @@ mutations of the corpus files and of a few terms: each theory goes
 through ``validate``, each proof and goal through ``check`` next to
 the unchanged other file, each term through ``normalize``.  Most of
 them are parse errors, so the located error messages are compared too.
-For each job OUT gets its argv (paths relative to the inputs
+The narrowing grid runs ``unify`` on an ``assoc``, an ``addition`` and a
+``mult`` problem at every depth from 1 to 8, caps 1 and 16, and fuels 1
+to 4 and the default, so the ``complete:`` flags, the solution order,
+the variable names and the messages of fuel run out inside a narrowing
+step are compared; and ``prove`` of the assoc witness goal at depths 4
+and 8.  For each job OUT gets its argv (paths relative to the inputs
 directory), its exit code, its stdout and its stderr.
 """
 
@@ -28,6 +33,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import run  # noqa: E402  (perfbench/run.py)
+from workloads import GOLDEN_LEFT, GOLDEN_RIGHT, WITNESS  # noqa: E402
 
 WORKLOADS = ("search", "narrow", "check")
 PASSES = ((1, 0), (2, 1))   # (seed, pass index)
@@ -97,6 +103,39 @@ def malformed_jobs(directory: str) -> list[list[str]]:
     return jobs
 
 
+# addition with multiplication by recursion on its first argument
+MULT = """\
+sort nat.
+func 0 : nat.
+func S : nat -> nat.
+func plus : nat nat -> nat.
+func mult : nat nat -> nat.
+pred P : nat.
+rule add0: (plus 0 y) ~> y.
+rule addS: (plus (S x) y) ~> (S (plus x y)).
+rule mul0: (mult 0 y) ~> 0.
+rule mulS: (mult (S x) y) ~> (plus y (mult x y)).
+"""
+
+
+def narrowing_jobs(directory: str) -> list[list[str]]:
+    """The argv of each narrowing job; the mult theory goes to
+    `directory`."""
+    path = os.path.join(os.path.relpath(directory, ROOT), "mult.thy")
+    with open(path, "w") as f:
+        f.write(MULT)
+    problems = [("builtin:assoc", GOLDEN_LEFT, GOLDEN_RIGHT),
+                ("builtin:addition", "(plus x:nat y:nat)", "(S (S (S 0)))"),
+                (path, "(mult x:nat (S (S 0)))", "(S (S (S (S 0))))")]
+    jobs = [["unify", *problem, "--depth", str(depth), "--cap", cap, *fuel]
+            for problem in problems for depth in range(1, 9)
+            for cap in ("1", "16")
+            for fuel in (["--fuel", "1"], ["--fuel", "2"], ["--fuel", "3"],
+                         ["--fuel", "4"], [])]
+    return jobs + [["prove", "builtin:assoc", WITNESS, "--depth", depth]
+                   for depth in ("4", "8")]
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
@@ -118,6 +157,10 @@ def main(argv) -> int:
                         jobs += 1
             for job in malformed_jobs(directory):
                 f.write("=== malformed\n")
+                f.write(record(demod.cli.main, job, prefix))
+                jobs += 1
+            for job in narrowing_jobs(directory):
+                f.write("=== narrowing\n")
                 f.write(record(demod.cli.main, job, prefix))
                 jobs += 1
     finally:
