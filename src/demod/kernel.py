@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import is_not
 from typing import Optional
 
-from .errors import FuelExhausted, ProofError, RuleError
+from .errors import FuelExhausted, ProofError, RuleError, SortError
 from .rewriting import (
     DEFAULT_FUEL, RewriteSystem, _step_at, congruent, normalize,
 )
@@ -200,14 +200,12 @@ def check_proof(theory, proof: Proof, goal: Sequent,
         raise ProofError("no proof given")
     if not theory.report.nonconfusing:
         raise RuleError("theory's rewrite system is not non-confusing")
-    sig = theory.signature
-    for _, h in goal.context:
-        r = wellformed(sig, h)
-        if not r:
-            raise ProofError(f"ill-formed hypothesis: {r.message}")
-    r = wellformed(sig, goal.conclusion)
-    if not r:
-        raise ProofError(f"ill-formed goal: {r.message}")
+    for what, x in [*(("hypothesis", h) for _, h in goal.context),
+                    ("goal", goal.conclusion)]:
+        try:
+            wellformed(theory.signature, x)
+        except SortError as e:
+            raise ProofError(f"ill-formed {what}: {e}") from None
     session = _Session(theory.system, fuel)
     ctx = dict(goal.context)
     try:

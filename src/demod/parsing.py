@@ -308,7 +308,8 @@ def parse_sequent(text: str, sig: Signature) -> Sequent:
 # Theory files
 
 
-def parse_theory(text: str, name: str = "file") -> Theory:
+def parse_theory(text: str, name: str = "file",
+                 notes: tuple[str, ...] = ()) -> Theory:
     p = _Parser(text, None)   # its signature: the one declared so far
     toks = p.toks
     sorts: list[str] = []
@@ -383,9 +384,9 @@ def parse_theory(text: str, name: str = "file") -> Theory:
         p.expect("dot", "'.'")
 
     rs = RewriteSystem(rules, asserted_terminating=asserted)
+    sig = sig or _signature(p, sorts, functions, predicates, uses)
     try:
-        return Theory(
-            name, sig or _signature(p, sorts, functions, predicates, uses), rs)
+        return Theory(name, sig, rs, notes)
     except TheoryError as e:
         raise ParseError(str(e), 1, 1)
 

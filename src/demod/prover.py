@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import is_
 from typing import Iterator, Optional
 
-from .errors import FuelExhausted, TheoryError
+from .errors import FuelExhausted, SortError, TheoryError
 from .kernel import (
     Proof, Sequent, _Session, check_proof, find_cuts, subst_hyp,
 )
@@ -351,9 +351,10 @@ def search_proof(theory: Theory, goal: Sequent, depth: int = 8,
         goal = Sequent((), goal)
     for what, x in [*(("hypothesis", h) for _, h in goal.context),
                     ("goal", goal.conclusion)]:
-        w = wellformed(theory.signature, x)
-        if not w:
-            raise TheoryError(f"malformed {what}: {w.message}")
+        try:
+            wellformed(theory.signature, x)
+        except SortError as e:
+            raise TheoryError(f"malformed {what}: {e}") from None
 
     engine = _Search(theory, fuel, narrow_depth, narrow_cap, node_cap)
     root: Subst = {}   # one object: the root's views are not rebuilt

@@ -12,11 +12,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from operator import is_not
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import FuelExhausted, RuleError
 from .syntax import (
-    App, Atom, CONNECTIVES, Hole, Node, Position, QUANT, Subst, Var,
+    App, Atom, Hole, Node, Position, QUANT, Subst, Var,
     alpha_eq, alpha_key, apply_subst, children, free_vars, fresh_var,
     is_term, positions, print_node, replace_at, with_children,
 )
@@ -164,8 +164,7 @@ def rewrite_positions(rs: RewriteSystem, x: Node):
     return out
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     value: Node
     steps: int
 
@@ -453,58 +452,46 @@ def check_local_confluence(rs: RewriteSystem, fuel: int = DEFAULT_FUEL
 # Termination: lexicographic path ordering (sufficient check only)
 
 
-_CONNECTIVE_HEADS = {f"{name}#" for name in CONNECTIVES.values()}
+def _rank(rank: dict, x: Node) -> int:
+    """A symbol's place in the precedence; a connective or quantifier
+    head ranks below every symbol, and a Hole or a bound variable, a
+    constant here, below that."""
+    if isinstance(x, (App, Atom)):
+        return rank.get(_head(x), -2)
+    return -2 if isinstance(x, (Hole, Var)) else -1
 
 
-_BOUND = App("bv#", ())
+def _eq(a: Node, b: Node, bound: frozenset) -> bool:
+    """a == b, where a bound variable of ``b`` is no variable of ``a``."""
+    return a == b and (not bound or bound.isdisjoint(free_vars(b)))
 
 
-def _encode(x: Node, bound: frozenset) -> Node:
-    """Propositions as first-order trees for the path ordering; bound
-    variables become one opaque constant so the variable condition is
-    not falsely triggered.  Two bound constants are never compared:
-    left-hand sides have no binders."""
-    if isinstance(x, Var):
-        return _BOUND if x in bound else x
-    if isinstance(x, Hole):
-        return App("hole#", ())
-    if isinstance(x, App):
-        return App(x.fn, tuple(_encode(a, bound) for a in x.args))
-    if isinstance(x, Atom):
-        return App(x.pred, tuple(_encode(a, bound) for a in x.args))
-    if isinstance(x, QUANT):
-        bound = bound | {x.var}
-    return App(f"{CONNECTIVES[type(x)]}#",
-               tuple(_encode(c, bound) for c in children(x)))
-
-
-def _prec(rank: dict, f: str) -> int:
-    if f in rank:
-        return rank[f]
-    if f in _CONNECTIVE_HEADS:
-        return -1
-    return -2  # bound-variable constants, below everything
-
-
-def lpo_gt(rank: dict, s: Node, t: Node, right: bool = False) -> bool:
+def lpo_gt(rank: dict, s: Node, t: Node, right: bool = False,
+           bound: frozenset = frozenset()) -> bool:
+    """s > t in the path order, on the rule sides as they are: ``s`` is
+    part of a left-hand side, so it has no binders, and ``t`` is part of
+    a right-hand side under binders for the variables in ``bound``."""
     if isinstance(s, Var):
         return False
-    if isinstance(t, Var):
+    if isinstance(t, Var) and t not in bound:
         return t in free_vars(s)
-    # both are App after encoding
-    if any(a == t or lpo_gt(rank, a, t, right) for a in s.args):
+    args = children(s)
+    if any(_eq(a, t, bound) or lpo_gt(rank, a, t, right, bound)
+           for a in args):
         return True
-    ps, pt = _prec(rank, s.fn), _prec(rank, t.fn)
-    if ps > pt:
-        return all(lpo_gt(rank, s, b, right) for b in t.args)
-    if s.fn == t.fn and len(s.args) == len(t.args):
-        order = zip(reversed(s.args), reversed(t.args)) if right \
-            else zip(s.args, t.args)
+    if _rank(rank, s) > _rank(rank, t):
+        if isinstance(t, QUANT):
+            bound = bound | {t.var}
+        return all(lpo_gt(rank, s, b, right, bound) for b in children(t))
+    if isinstance(t, (App, Atom)) and _head(s) == _head(t) \
+            and len(args) == len(t.args):
+        order = zip(reversed(args), reversed(t.args)) if right \
+            else zip(args, t.args)
         for a, b in order:
-            if a == b:
+            if _eq(a, b, bound):
                 continue
-            if lpo_gt(rank, a, b, right):
-                return all(lpo_gt(rank, s, c, right) for c in t.args)
+            if lpo_gt(rank, a, b, right, bound):
+                return all(lpo_gt(rank, s, c, right, bound) for c in t.args)
             return False
     return False
 
@@ -514,11 +501,8 @@ def check_termination_lpo(rs: RewriteSystem, precedence: list[str]) -> bool:
     precedence (later entries are greater) for every rule, with either a
     left-to-right or a right-to-left status used uniformly."""
     rank = {f: i for i, f in enumerate(precedence)}
-    none = frozenset()
-    return any(
-        all(lpo_gt(rank, _encode(r.lhs, none), _encode(r.rhs, none), right)
-            for r in rs.rules)
-        for right in (False, True))
+    return any(all(lpo_gt(rank, r.lhs, r.rhs, right) for r in rs.rules)
+               for right in (False, True))
 
 
 # ---------------------------------------------------------------------------

@@ -443,73 +443,37 @@ def _akey(x: Node, bound: dict, depth: int, out: list) -> None:
 # Well-formedness
 
 
-@dataclass(frozen=True)
-class WfResult:
-    ok: bool
-    path: Position = ()
-    message: str = ""
-
-    def __bool__(self):
-        return self.ok
-
-
-WF_OK = WfResult(True)
-
-
-def wellformed(sig: Signature, x: Node) -> WfResult:
-    """Check arities and sorts against the signature.
-
-    Reports the first offending position, outermost-leftmost first.
-    """
-    return _wf(sig, x, ())
-
-
-def _wf(sig: Signature, x: Node, path: Position) -> WfResult:
-    if isinstance(x, Var):
+def wellformed(sig: Signature, x: Node) -> None:
+    """Check arities and sorts against the signature; raises SortError
+    for the first offending node, outermost-leftmost first."""
+    if isinstance(x, (Var, Hole)):
         if x.sort not in sig.sorts:
-            return WfResult(False, path, f"undeclared sort {x.sort!r}")
-        return WF_OK
-    if isinstance(x, Hole):
-        if x.sort not in sig.sorts:
-            return WfResult(False, path, f"undeclared sort {x.sort!r}")
-        return WF_OK
-    if isinstance(x, App):
+            raise SortError(f"undeclared sort {x.sort!r}")
+    elif isinstance(x, App):
         if x.fn not in sig.functions:
-            return WfResult(False, path, f"unknown function {x.fn!r}")
-        arg_sorts, _ = sig.functions[x.fn]
-        return _wf_args(sig, x.fn, x.args, arg_sorts, path)
-    if isinstance(x, Atom):
+            raise SortError(f"unknown function {x.fn!r}")
+        _wf_args(sig, x.fn, x.args, sig.functions[x.fn][0])
+    elif isinstance(x, Atom):
         if x.pred not in sig.predicates:
-            return WfResult(False, path, f"unknown predicate {x.pred!r}")
-        return _wf_args(sig, x.pred, x.args, sig.predicates[x.pred], path)
-    if isinstance(x, BINARY):
-        r = _wf(sig, x.left, path + (0,))
-        return r if not r else _wf(sig, x.right, path + (1,))
-    if isinstance(x, QUANT):
-        if x.var.sort not in sig.sorts:
-            return WfResult(False, path, f"undeclared sort {x.var.sort!r}")
-        return _wf(sig, x.body, path + (0,))
-    return WF_OK
+            raise SortError(f"unknown predicate {x.pred!r}")
+        _wf_args(sig, x.pred, x.args, sig.predicates[x.pred])
+    else:
+        if isinstance(x, QUANT) and x.var.sort not in sig.sorts:
+            raise SortError(f"undeclared sort {x.var.sort!r}")
+        for c in children(x):
+            wellformed(sig, c)
 
 
-def _wf_args(sig, head, args, arg_sorts, path) -> WfResult:
+def _wf_args(sig, head, args, arg_sorts) -> None:
     if len(args) != len(arg_sorts):
-        return WfResult(
-            False, path,
+        raise SortError(
             f"{head} expects {len(arg_sorts)} arguments, got {len(args)}")
     for i, (a, want) in enumerate(zip(args, arg_sorts)):
-        r = _wf(sig, a, path + (i,))
-        if not r:
-            return r
-        try:
-            got = term_sort(sig, a)
-        except SortError as e:
-            return WfResult(False, path + (i,), str(e))
+        wellformed(sig, a)
+        got = term_sort(sig, a)
         if got != want:
-            return WfResult(
-                False, path + (i,),
+            raise SortError(
                 f"argument {i} of {head} has sort {got}, expected {want}")
-    return WF_OK
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .errors import FuelExhausted, TheoryError
+from .errors import FuelExhausted, SortError, TheoryError
 from .rewriting import (
     DEFAULT_FUEL, RewriteSystem, check_local_confluence, check_nonconfusing,
     check_termination_lpo, congruent, normalize, rewrite_positions,
@@ -64,11 +64,11 @@ class Theory:
     def __post_init__(self):
         for r in self.system.rules:
             for side in (r.lhs, r.rhs):
-                w = wellformed(self.signature, side)
-                if not w:
-                    raise TheoryError(
-                        f"rule {r.name}: ill-formed {print_node(side)}: "
-                        f"{w.message}")
+                try:
+                    wellformed(self.signature, side)
+                except SortError as e:
+                    raise TheoryError(f"rule {r.name}: ill-formed "
+                                      f"{print_node(side)}: {e}") from None
         report = validate_theory(self)
         object.__setattr__(self, "report", report)
         object.__setattr__(self, "system", replace(
@@ -143,8 +143,7 @@ def load_builtin(name: str) -> Theory:
             raise TheoryError(f"unknown builtin theory {name!r}")
         from .parsing import parse_theory   # parsing imports this module
         text, notes = BUILTINS[name]
-        theory = parse_theory(text, name)
-        _built[name] = replace(theory, notes=notes) if notes else theory
+        _built[name] = parse_theory(text, name, notes)
     return _built[name]
 
 

@@ -126,14 +126,17 @@ def test_traced_narrow_pass_work(tmp_path):
 def test_traced_check_pass_work(tmp_path):
     # The check pass is pinned: the same parses, proof checks, cut
     # reductions, rewrite steps, matches and rules validated, so a
-    # faster parser shows that it does the same work.
+    # faster parser shows that it does the same work.  A builtin with
+    # notes is parsed with them, not rebuilt to add them: crabbe's one
+    # rule is validated once, which took the rules validated from 712
+    # to 711.
     m = traced_pass_metrics("check", tmp_path / "pass")
     assert m["parsing.calls"] == 214
     assert (m["kernel.check_calls"], m["kernel.proof_nodes"],
             m["kernel.reduce_cut_calls"]) == (70, 2055, 1204)
     assert m["rewriting.steps"] == 2484
     assert m["rewriting.match_calls"] == 4790
-    assert m["theories.rules_validated"] == 712
+    assert m["theories.rules_validated"] == 711
 
 
 def test_ab_timing_counts_against_itself():

@@ -275,6 +275,30 @@ class TestCheckAndCuts:
             0, "#verdict: ok\n", "")
         assert run("cuts", "builtin:addition", str(prf), str(seq))[0] == 1
 
+    # An eigenvariable that escapes: into the goal of forall_i, and
+    # through the major premise of exists_e.
+    EIGEN_ESCAPE = {
+        "forall_i-goal": (
+            "sort i. func a : i. pred P : i.",
+            '(forall_i (y : i) (imp_i "h" (axiom "h")))',
+            "|- (forall (x : i) (imp (P x) (P y:i)))"),
+        "exists_e-major": (
+            "sort i. pred R : i i.",
+            '(exists_e (forall_e (axiom "h") y:i) (y : i) "k" '
+            '(exists_i y:i (axiom "k")))',
+            "h : (forall (w : i) (exists (x : i) (R x w))) "
+            "|- (exists (z : i) (R z z))"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EIGEN_ESCAPE))
+    def test_eigenvariable_escape_rejected(self, run, tmp_path, case):
+        files = [tmp_path / f for f in ("e.thy", "e.prf", "e.seq")]
+        for path, text in zip(files, self.EIGEN_ESCAPE[case]):
+            path.write_text(text)
+        assert run("check", *map(str, files)) == (
+            1, "at []: eigenvariable y occurs free in the sequent\n"
+               "#verdict: invalid\n", "")
+
     def test_invalid_proof(self, run, tmp_path):
         bad = tmp_path / "bad.prf"
         bad.write_text('(axiom "nope")')

@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from demod import (
-    App, Atom, FuelExhausted, Hole, Imp, RewriteRule, RewriteSystem, Var,
-    alpha_eq, apply_subst, check_local_confluence, check_nonconfusing,
-    check_termination_lpo, congruent, congruent_detail, critical_pairs,
-    free_vars, load_builtin, match_pattern, normalize, print_node,
-    rewrite_positions,
+    And, App, Atom, BOT, Exists, ForAll, FuelExhausted, Hole, Imp, Or,
+    RewriteRule, RewriteSystem, TOP, Var, alpha_eq, apply_subst,
+    check_local_confluence, check_nonconfusing, check_termination_lpo,
+    congruent, congruent_detail, critical_pairs, free_vars, load_builtin,
+    make_signature, match_pattern, normalize, print_node, rewrite_positions,
 )
 from demod.errors import RuleError
 from demod.parsing import parse_node, parse_theory
-from demod.syntax import positions, replace_at
+from demod.rewriting import lpo_gt
+from demod.syntax import CONNECTIVES, QUANT, children, positions, replace_at
 from demod.unification import _narrowing_steps
 
 from conftest import MULT_THEORY, random_normal_form, random_term
@@ -196,6 +197,169 @@ class TestLPO:
     def test_orients_def_conj(self, def_conj):
         assert check_termination_lpo(def_conj.system,
                                      def_conj.default_precedence())
+
+
+# The path order as it was first written: both sides copied into
+# first-order trees, a connective as a function symbol ranked -1, a
+# hole and every bound variable as constants ranked -2.  The order on
+# the sides as they are must give the same verdicts.
+
+_REFERENCE_HEADS = {f"{name}#" for name in CONNECTIVES.values()}
+_REFERENCE_BOUND = App("bv#", ())
+
+
+def reference_encode(x, bound=frozenset()):
+    if isinstance(x, Var):
+        return _REFERENCE_BOUND if x in bound else x
+    if isinstance(x, Hole):
+        return App("hole#", ())
+    if isinstance(x, App):
+        return App(x.fn, tuple(reference_encode(a, bound) for a in x.args))
+    if isinstance(x, Atom):
+        return App(x.pred, tuple(reference_encode(a, bound) for a in x.args))
+    if isinstance(x, QUANT):
+        bound = bound | {x.var}
+    return App(f"{CONNECTIVES[type(x)]}#",
+               tuple(reference_encode(c, bound) for c in children(x)))
+
+
+def _reference_prec(rank, f):
+    if f in rank:
+        return rank[f]
+    return -1 if f in _REFERENCE_HEADS else -2
+
+
+def reference_lpo_gt(rank, s, t, right=False):
+    if isinstance(s, Var):
+        return False
+    if isinstance(t, Var):
+        return t in free_vars(s)
+    if any(a == t or reference_lpo_gt(rank, a, t, right) for a in s.args):
+        return True
+    ps, pt = _reference_prec(rank, s.fn), _reference_prec(rank, t.fn)
+    if ps > pt:
+        return all(reference_lpo_gt(rank, s, b, right) for b in t.args)
+    if s.fn == t.fn and len(s.args) == len(t.args):
+        order = zip(reversed(s.args), reversed(t.args)) if right \
+            else zip(s.args, t.args)
+        for a, b in order:
+            if a == b:
+                continue
+            if reference_lpo_gt(rank, a, b, right):
+                return all(reference_lpo_gt(rank, s, c, right)
+                           for c in t.args)
+            return False
+    return False
+
+
+LPO_SIG = make_signature(
+    ["s"], {"c": ([], "s"), "d": ([], "s"), "g": (["s"], "s"),
+            "f": (["s", "s"], "s")},
+    {"Q": [], "P": ["s"], "R": ["s", "s"]})
+LPO_VARS = tuple(Var(n, "s") for n in "xyz")
+
+
+def lpo_case(rng):
+    """A left-hand side, an App or an Atom with holes among its leaves,
+    and a right-hand side: a term for an App, else a proposition with
+    connectives, top, bot and nested quantifiers.  Most quantifiers bind
+    a variable of the left-hand side, and an atom under one often
+    repeats the left-hand side's arguments; a term side often has the
+    left-hand side's head over its arguments, in any order."""
+    def term(depth, pool):
+        if depth <= 0 or rng.random() < 0.3:
+            return rng.choice([*pool, Hole("s"), App("c"), App("d")])
+        fn = rng.choice(["g", "f"])
+        return App(fn, tuple(term(depth - 1, pool)
+                             for _ in LPO_SIG.functions[fn][0]))
+
+    def atom(pred, make):
+        return Atom(pred, tuple(make(i) for i in range(len(
+            LPO_SIG.predicates[pred]))))
+
+    if rng.random() < 0.4:
+        lhs = term(3, LPO_VARS)
+        while not isinstance(lhs, App) or not lhs.args:
+            lhs = term(3, LPO_VARS)
+    else:
+        lhs = atom(rng.choice(["Q", "P", "R", "R"]),
+                   lambda i: term(rng.randrange(3), LPO_VARS))
+    subterms = [t for _, t in positions(lhs) if not isinstance(t, Atom)]
+    lhs_vars = tuple(sorted(free_vars(lhs), key=lambda v: v.name))
+    pool = lhs_vars + (Var("w", "s"),)
+
+    def side_term(pool):
+        if subterms and rng.random() < 0.4:
+            return rng.choice(subterms)
+        return term(2, pool)
+
+    def prop(depth, pool):
+        k = rng.randrange(9)
+        if depth <= 0 or k == 0:
+            if isinstance(lhs, Atom) and rng.random() < 0.6:
+                return atom(lhs.pred, lambda i: rng.choice(
+                    (lhs.args[i],) * 3 + lhs.args + (side_term(pool),)))
+            return atom(rng.choice(["Q", "P", "R"]),
+                        lambda i: side_term(pool))
+        if k == 1:
+            return rng.choice([TOP, BOT])
+        if k < 5:
+            return (And, Or, Imp)[k - 2](prop(depth - 1, pool),
+                                         prop(depth - 1, pool))
+        x = rng.choice(lhs_vars if lhs_vars and rng.random() < 0.8
+                       else (Var("q", "s"),))
+        return (ForAll, Exists)[k % 2](x, prop(depth - 1, pool + (x,)))
+
+    if isinstance(lhs, App):
+        if rng.random() < 0.3:
+            return lhs, App(lhs.fn, tuple(rng.choice(lhs.args + (
+                side_term(pool),)) for _ in lhs.args))
+        return lhs, side_term(pool)
+    return lhs, prop(rng.randrange(4), pool)
+
+
+def lpo_verdicts(rng):
+    """The new and the reference verdict, under a random precedence, of
+    each status on a random pair."""
+    lhs, rhs = lpo_case(rng)
+    symbols = [*LPO_SIG.functions, *LPO_SIG.predicates]
+    rng.shuffle(symbols)
+    rank = {f: i for i, f in enumerate(symbols)}
+    old_lhs, old_rhs = reference_encode(lhs), reference_encode(rhs)
+    return lhs, rhs, [(lpo_gt(rank, lhs, rhs, right),
+                       reference_lpo_gt(rank, old_lhs, old_rhs, right))
+                      for right in (False, True)]
+
+
+@settings(derandomize=True, max_examples=2000, deadline=None)
+@given(st.integers(0, 2**32))
+def test_lpo_agrees_with_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(4):
+        lhs, rhs, verdicts = lpo_verdicts(rng)
+        for new, old in verdicts:
+            assert new == old, (print_node(lhs), print_node(rhs))
+
+
+def test_lpo_cases_reach_rebinding():
+    # the cases hold holes, both verdicts, statuses that disagree, and
+    # quantifiers that rebind a variable of the lhs above a copy of an
+    # lhs argument that holds it
+    seen = dict.fromkeys(("hole", "gt", "not gt", "status", "rebind"), 0)
+    rng = random.Random(0)
+    for _ in range(2000):
+        lhs, rhs, [(ltr, _), (rtl, _)] = lpo_verdicts(rng)
+        seen["hole"] += any(isinstance(t, Hole) for _, t in positions(lhs))
+        seen["gt"] += ltr
+        seen["not gt"] += not ltr
+        seen["status"] += ltr != rtl
+        lhs_args = {t for _, t in positions(lhs) if free_vars(t)} - {lhs}
+        seen["rebind"] += any(
+            isinstance(q, QUANT) and q.var in free_vars(lhs)
+            and any(t in lhs_args and q.var in free_vars(t)
+                    for _, t in positions(q.body))
+            for _, q in positions(rhs))
+    assert min(seen.values()) >= 20, seen
 
 
 class TestNonConfusing:

@@ -10,10 +10,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from demod import (
-    And, App, Atom, BOT, Exists, ForAll, Imp, Or, TOP, Var, alpha_eq,
-    alpha_key, apply_subst, compose, free_vars, fresh_var, load_builtin,
-    make_signature, print_prop, print_term, term_sort, wellformed,
+    And, App, Atom, BOT, Exists, ForAll, Imp, Or, Proof, RewriteRule,
+    RewriteSystem, Sequent, TOP, Theory, Var, alpha_eq, alpha_key,
+    apply_subst, check_proof, compose, free_vars, fresh_var, load_builtin,
+    make_signature, print_prop, print_term, search_proof, term_sort,
+    wellformed,
 )
+from demod.errors import ProofError, SortError, TheoryError
 from demod.syntax import (
     QUANT, Bottom, Hole, Top, children, positions, replace_at,
     with_children,
@@ -48,23 +51,74 @@ class TestSignature:
 class TestWellformed:
     def test_ok(self, sig):
         t = App("plus", (v("x"), App("0")))
-        assert wellformed(sig, t)
+        assert wellformed(sig, t) is None
 
     def test_arity_error_path(self, sig):
         bad = App("plus", (App("0"),))
-        r = wellformed(sig, bad)
-        assert not r
-        assert r.path == ()
+        with pytest.raises(SortError) as e:
+            wellformed(sig, bad)
+        assert str(e.value) == "plus expects 2 arguments, got 1"
 
     def test_sort_error_deep(self, sig):
         bad = App("S", (App("plus", (v("x", "wrong"), App("0"))),))
-        r = wellformed(sig, bad)
-        assert not r
-        assert r.path == (0, 0)
+        with pytest.raises(SortError) as e:
+            wellformed(sig, bad)
+        assert str(e.value) == "undeclared sort 'wrong'"
+
+    @pytest.mark.parametrize("bad,message", [
+        (App("plus", (App("S"), v("x", "wrong"))),
+         "S expects 1 arguments, got 0"),
+        (App("plus", (v("x", "wrong"), App("S"))), "undeclared sort 'wrong'"),
+        (App("plus", (App("S", (v("x", "wrong"),)), App("f"))),
+         "undeclared sort 'wrong'"),
+        (App("S", (App("plus", (App("0"),)),)),
+         "plus expects 2 arguments, got 1"),
+        (Imp(Atom("P", (App("S"),)), Atom("Q")),
+         "S expects 1 arguments, got 0"),
+        (Or(Atom("Q"), Atom("P", ())), "unknown predicate 'Q'"),
+        (And(TOP, Atom("P", (App("g"),))), "unknown function 'g'"),
+        (ForAll(v("y", "wrong"), Atom("P", ())), "undeclared sort 'wrong'"),
+    ])
+    def test_first_offending_node(self, sig, bad, message):
+        with pytest.raises(SortError) as e:
+            wellformed(sig, bad)
+        assert str(e.value) == message
 
     def test_prop_checked(self, sig):
-        assert wellformed(sig, Atom("P", (App("0"),)))
-        assert not wellformed(sig, Atom("P", ()))
+        assert wellformed(sig, Atom("P", (App("0"),))) is None
+        with pytest.raises(SortError) as e:
+            wellformed(sig, Atom("P", ()))
+        assert str(e.value) == "P expects 1 arguments, got 0"
+
+
+class TestIllFormedInput:
+    """The message of each caller of ``wellformed``, under addition."""
+
+    BAD_HYP = Atom("P", ())
+    BAD_GOAL = Atom("P", (App("S", (App("plus", (v("x", "wrong"),
+                                                 App("0"))),)),))
+
+    @pytest.mark.parametrize("context,goal,message", [
+        ((("h", BAD_HYP),), Atom("P", (App("0"),)),
+         "hypothesis: P expects 1 arguments, got 0"),
+        ((), BAD_GOAL, "goal: undeclared sort 'wrong'"),
+    ])
+    def test_checker_and_prover(self, context, goal, message):
+        addition = load_builtin("addition")
+        sequent = Sequent(context, goal)
+        with pytest.raises(ProofError) as e:
+            check_proof(addition, Proof("axiom", label="h"), sequent)
+        assert str(e.value) == "ill-formed " + message
+        with pytest.raises(TheoryError) as e:
+            search_proof(addition, sequent, depth=4)
+        assert str(e.value) == "malformed " + message
+
+    def test_theory(self, sig):
+        rule = RewriteRule("r", App("S", (App("plus", (v("x"),)),)), App("0"))
+        with pytest.raises(TheoryError) as e:
+            Theory("t", sig, RewriteSystem([rule]))
+        assert str(e.value) == \
+            "rule r: ill-formed (S (plus x)): plus expects 2 arguments, got 1"
 
 
 class TestSubstitution:

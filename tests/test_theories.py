@@ -8,6 +8,7 @@ from demod import (
     Var, alpha_eq, alpha_key, check_proof, load_builtin, make_signature,
     print_node, search_proof, subformula_closure, validate_theory,
 )
+from demod import theories
 from demod.errors import RuleError, TheoryError
 from demod.parsing import (
     parse_proof, parse_prop, parse_sequent, parse_theory,
@@ -145,6 +146,21 @@ class TestValidatedOnce:
         goal = parse_sequent("|- (imp P P)", t.signature)
         with pytest.raises(RuleError, match="not non-confusing"):
             check_proof(t, proof, goal)
+
+    @pytest.mark.parametrize("name", ["crabbe", "comm"])
+    def test_builtin_with_notes_validated_once(self, name, monkeypatch):
+        calls = []
+
+        def counted(theory):
+            calls.append(theory.name)
+            return validate_theory(theory)
+
+        monkeypatch.setattr(theories, "validate_theory", counted)
+        monkeypatch.setattr(theories, "_built", {})
+        t = load_builtin(name)
+        assert calls == [name]
+        assert t.notes == theories.BUILTINS[name][1]
+        assert t.report.notes == t.notes
 
     def test_confusing_theory_refused_by_prover(self):
         t = _confusing_theory()

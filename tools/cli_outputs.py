@@ -17,8 +17,13 @@ The narrowing grid runs ``unify`` on an ``assoc``, an ``addition`` and a
 to 4 and the default, so the ``complete:`` flags, the solution order,
 the variable names and the messages of fuel run out inside a narrowing
 step are compared; and ``prove`` of the assoc witness goal at depths 4
-and 8.  For each job OUT gets its argv (paths relative to the inputs
-directory), its exit code, its stdout and its stderr.
+and 8.  The validation grid runs ``validate`` on seeded theory files
+with no ``assert terminating.``, so that the path order decides: term
+rules, and proposition rules whose right-hand sides have connectives
+and quantifiers, many of which bind a variable of the left-hand side
+again above a copy of one of its arguments.  For each job OUT gets its
+argv (paths relative to the inputs directory), its exit code, its
+stdout and its stderr.
 """
 
 from __future__ import annotations
@@ -136,6 +141,80 @@ def narrowing_jobs(directory: str) -> list[list[str]]:
                    for depth in ("4", "8")]
 
 
+# the symbols of a validation theory, declared in a seeded order, which
+# is the precedence of the path order
+SYMBOLS = {"c": "func c : s.", "d": "func d : s.", "g": "func g : s -> s.",
+           "f": "func f : s s -> s.", "Q": "pred Q.", "P": "pred P : s.",
+           "R": "pred R : s s."}
+ARITY = {"c": 0, "d": 0, "g": 1, "f": 2, "Q": 0, "P": 1, "R": 2}
+THEORIES = 60
+
+
+def validation_theory(rng) -> str:
+    """A theory of one to three rules over SYMBOLS; ``prop`` reads the
+    head, the arguments and the variables of the rule's left-hand
+    side."""
+    def apply(head, args):
+        return f"({head} {' '.join(args)})" if args else head
+
+    def term(depth, names):
+        if depth <= 0 or rng.random() < 0.3:
+            return rng.choice([*names, "c", "d"])
+        head = rng.choice("gf")
+        return apply(head, [term(depth - 1, names)
+                            for _ in range(ARITY[head])])
+
+    def prop(depth, names):
+        k = rng.randrange(8) if depth > 0 else 0
+        if k == 0:
+            pred = rng.choice("QPR")
+            if rng.random() < 0.6:
+                pred = head   # the lhs's arguments, some of them again
+            return apply(pred, [
+                args[i] if pred == head and rng.random() < 0.7
+                else term(1, names) for i in range(ARITY[pred])])
+        if k == 1:
+            return rng.choice(("top", "bot"))
+        if k < 5:
+            return (f"({('and', 'or', 'imp')[k - 2]} "
+                    f"{prop(depth - 1, names)} {prop(depth - 1, names)})")
+        x = rng.choice(lhs_vars if lhs_vars and rng.random() < 0.7
+                       else ("w", "u"))
+        return (f"({('forall', 'exists')[k % 2]} ({x} : s) "
+                f"{prop(depth - 1, names + (x,))})")
+
+    decls = list(SYMBOLS.values())
+    rng.shuffle(decls)
+    lines = ["sort s. " + " ".join(decls)]
+    for k in range(rng.randrange(1, 4)):
+        head = rng.choice("gf") if rng.random() < 0.35 \
+            else rng.choice("QPRR")
+        args = [term(rng.randrange(3), ("x", "y", "z"))
+                for _ in range(ARITY[head])]
+        lhs_vars = tuple(sorted(set(" ".join(args).replace("(", " ")
+                                    .replace(")", " ").split())
+                                & {"x", "y", "z"}))
+        if head in "gf":
+            rhs = term(2, lhs_vars)
+        else:
+            rhs = prop(rng.randrange(4), lhs_vars)
+        lines.append(f"rule r{k}: {apply(head, args)} ~> {rhs}.")
+    return "\n".join(lines) + "\n"
+
+
+def validation_jobs(directory: str) -> list[list[str]]:
+    """The argv of each validation job; its theory goes to
+    `directory`."""
+    rng = random.Random("cli-outputs validation")
+    jobs = []
+    for k in range(THEORIES):
+        path = os.path.join(os.path.relpath(directory, ROOT), f"v{k}.thy")
+        with open(path, "w") as f:
+            f.write(validation_theory(rng))
+        jobs.append(["validate", path])
+    return jobs
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
@@ -161,6 +240,10 @@ def main(argv) -> int:
                 jobs += 1
             for job in narrowing_jobs(directory):
                 f.write("=== narrowing\n")
+                f.write(record(demod.cli.main, job, prefix))
+                jobs += 1
+            for job in validation_jobs(directory):
+                f.write("=== validation\n")
                 f.write(record(demod.cli.main, job, prefix))
                 jobs += 1
     finally:
